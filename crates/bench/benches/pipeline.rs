@@ -23,8 +23,9 @@ fn pipeline_benches(c: &mut Criterion) {
     // A/B of the sharded (taxi, day) simulation across worker counts. The
     // RNG streams are derived per shard, so the output is identical at any
     // thread count; only the wall clock should move. On a single-core host
-    // the multi-worker arm measures oversubscription overhead, not speedup
-    // — read it together with BENCH_pipeline.json's `simulate_matrix`.
+    // the multi-worker arm measures oversubscription overhead, not speedup.
+    // `repro fingerprint` at `--threads 1` and `--threads 4` checks the
+    // output invariance this arm assumes.
     {
         let city = bench_city();
         let weather = WeatherModel::new(5);

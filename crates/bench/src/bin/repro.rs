@@ -8,13 +8,11 @@
 //! fig6 fig7 fig8 fig9 fig10 validation ablation-thick ablation-lookahead
 //! ablation-rules ablation-grid all`.
 //!
-//! `--bench-json <path>` additionally writes per-stage wall-clock timings,
-//! the gap-fill cache hit rate, the worker-thread count, a
-//! `simulate_matrix` (fleet simulation walls at relative scale 1/10/100 ×
-//! threads 1/N, each row FNV-fingerprinted so thread-count invariance is
-//! checkable) and a `study_fingerprint` of the full pipeline output as
-//! JSON (see `BENCH_pipeline.json` for a committed example). It changes
-//! nothing on stdout/stderr, so baseline comparisons stay byte-exact.
+//! `repro fingerprint` (not part of `all`) prints the FNV fingerprint of
+//! the full pipeline output as `study fingerprint 0x…`, the same line
+//! `repro stream` and `repro ingest` print, so scripts can assert that
+//! every front door and every `--threads` setting converge on one study.
+//! Timings live in the repository benchmark (`perfbench/`), not here.
 //!
 //! `--threads N` pins the worker pool (oversubscription allowed, so
 //! multi-worker interleavings are exercisable on any host); the default
@@ -67,7 +65,7 @@ use taxitrace_core::{
     StudyOutput, Table4,
 };
 use taxitrace_geo::{CellId, Corridor, Grid, Point};
-use taxitrace_matching::{evaluate, CandidateIndex, MatchAccuracy, MatchConfig, MatchScratch};
+use taxitrace_matching::{evaluate, CandidateIndex, MatchAccuracy, MatchConfig};
 use taxitrace_obs::MetricsFormat;
 use taxitrace_od::{OdAnalyzer, OdConfig, OdEndpoint};
 use taxitrace_timebase::Season;
@@ -87,7 +85,6 @@ struct Args {
     /// External OSMX map to ingest the city from (with `--from-csv` or
     /// `ingest`); without it the synthetic city of the config is used.
     map: Option<String>,
-    bench_json: Option<String>,
     metrics: Option<MetricsFormat>,
     metrics_out: Option<String>,
     chaos: Option<String>,
@@ -100,8 +97,6 @@ struct Args {
     threads: Option<usize>,
     /// `serve`: TCP port to bind (0 = ephemeral, the default).
     port: u16,
-    /// `serve-bench`: total requests across all clients.
-    requests: usize,
     /// `serve --shutdown-file PATH`: poll for this file and drain when
     /// it appears, instead of running until killed.
     shutdown_file: Option<String>,
@@ -121,7 +116,6 @@ fn parse_args() -> Args {
     let mut operand2 = None;
     let mut from_csv = None;
     let mut map = None;
-    let mut bench_json = None;
     let mut metrics = None;
     let mut metrics_out = None;
     let mut chaos = None;
@@ -130,7 +124,6 @@ fn parse_args() -> Args {
     let mut repair = false;
     let mut threads = None;
     let mut port = 0u16;
-    let mut requests = 600usize;
     let mut shutdown_file = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -146,10 +139,6 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--scale needs a float"));
-            }
-            "--bench-json" => {
-                bench_json =
-                    Some(it.next().unwrap_or_else(|| die("--bench-json needs a path")));
             }
             "--metrics" => {
                 let fmt = it.next().unwrap_or_else(|| die("--metrics needs a format"));
@@ -186,13 +175,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--port needs a port number"));
             }
-            "--requests" => {
-                requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--requests needs a positive integer"));
-            }
             "--shutdown-file" => {
                 shutdown_file =
                     Some(it.next().unwrap_or_else(|| die("--shutdown-file needs a path")));
@@ -206,9 +188,9 @@ fn parse_args() -> Args {
                 );
             }
             "--help" | "-h" => die(
-                "usage: repro [--seed N] [--scale F] [--threads N] [--bench-json PATH] \
-                 [--metrics FMT] [--metrics-out PATH] [--chaos PLAN] \
-                 [--checkpoint-dir DIR] [--store FILE] <experiment>\n\
+                "usage: repro [--seed N] [--scale F] [--threads N] [--metrics FMT] \
+                 [--metrics-out PATH] [--chaos PLAN] [--checkpoint-dir DIR] \
+                 [--store FILE] <experiment>\n\
                  \n\
                  maintenance subcommands:\n\
                  \x20 repro store-save <file>              simulate and write a v3 trip store\n\
@@ -218,7 +200,6 @@ fn parse_args() -> Args {
                  serving subcommands:\n\
                  \x20 repro serve [--port P] [--threads N] [--shutdown-file PATH]\n\
                  \x20                                        run the HTTP query service\n\
-                 \x20 repro serve-bench [--requests N]       closed-loop load + contention bench\n\
                  \n\
                  streaming subcommand:\n\
                  \x20 repro stream [--chaos PLAN] [--checkpoint-dir DIR]\n\
@@ -254,7 +235,6 @@ fn parse_args() -> Args {
         operand2,
         from_csv,
         map,
-        bench_json,
         metrics,
         metrics_out,
         chaos,
@@ -263,7 +243,6 @@ fn parse_args() -> Args {
         repair,
         threads,
         port,
-        requests,
         shutdown_file,
     }
 }
@@ -287,9 +266,6 @@ fn die_study(e: taxitrace_core::Error) -> ! {
 }
 
 static OUTPUT: OnceLock<StudyOutput> = OnceLock::new();
-/// Wall-clock of the lazily-run study, so `--bench-json` can report the
-/// analysis time (total minus study) without reordering any output.
-static STUDY_WALL_S: OnceLock<f64> = OnceLock::new();
 
 /// The study configuration for this invocation: the baseline scaled
 /// config, plus the chaos plan when `--chaos` names one.
@@ -361,9 +337,7 @@ fn output(args: &Args) -> &'static StudyOutput {
             "[repro] running study: seed {}, scale {} (full paper year = 1.0) ...",
             args.seed, args.scale
         );
-        let start = std::time::Instant::now();
         let out = run_study(args);
-        let _ = STUDY_WALL_S.set(start.elapsed().as_secs_f64());
         eprintln!(
             "[repro] {} sessions, {} segments, {} transitions, {} transition points",
             out.cleaning.sessions,
@@ -396,7 +370,6 @@ fn main() {
         "ingest" => return cmd_ingest(&args),
         "mutate" => return cmd_mutate(&args),
         "serve" => return cmd_serve(&args),
-        "serve-bench" => return cmd_serve_bench(&args),
         "stream" => return cmd_stream(&args),
         _ => {}
     }
@@ -404,7 +377,6 @@ fn main() {
         "fig2", "table1", "table2", "table3", "table4", "table5", "fig3", "fig4", "fig5", "fig6",
         "fig7", "fig8", "fig9", "fig10", "validation",
     ];
-    let start = std::time::Instant::now();
     match args.experiment.as_str() {
         "all" => {
             for e in all {
@@ -412,11 +384,6 @@ fn main() {
             }
         }
         e => run(e, &args),
-    }
-    if let Some(path) = &args.bench_json {
-        let total_s = start.elapsed().as_secs_f64();
-        let analysis_s = total_s - STUDY_WALL_S.get().copied().unwrap_or(0.0);
-        write_bench_json(path, &args, output(&args), analysis_s.max(0.0));
     }
     if args.metrics.is_some() || args.metrics_out.is_some() {
         // `--metrics-out` without an explicit format means machine-readable.
@@ -445,25 +412,6 @@ fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 
 fn fnv1a_u64(h: u64, v: u64) -> u64 {
     fnv1a_bytes(h, &v.to_le_bytes())
-}
-
-/// Fingerprint of a simulated fleet: every session's identity plus the
-/// exact bits of every point. Two runs agree iff their traces are
-/// bit-identical.
-fn fleet_fingerprint(sessions: &[taxitrace_traces::RawTrip]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for s in sessions {
-        h = fnv1a_u64(h, s.id.0);
-        h = fnv1a_u64(h, u64::from(s.taxi.0));
-        h = fnv1a_u64(h, s.points.len() as u64);
-        for p in &s.points {
-            h = fnv1a_u64(h, p.timestamp.secs() as u64);
-            h = fnv1a_u64(h, p.pos.x.to_bits());
-            h = fnv1a_u64(h, p.pos.y.to_bits());
-            h = fnv1a_u64(h, p.speed_kmh.to_bits());
-        }
-    }
-    h
 }
 
 /// Fingerprint of the full pipeline output (cleaning totals, funnel,
@@ -497,151 +445,6 @@ fn study_fingerprint(out: &StudyOutput) -> u64 {
         }
     }
     h
-}
-
-/// The simulate scale × threads matrix: fleet simulation only (the
-/// sharded stage), at relative scales 1/10/100 of 1% of the study's
-/// volume — so the scale-100 row equals the study's own simulate load —
-/// each at 1 worker and at the requested worker count. Rows carry FNV
-/// fingerprints: within a scale they must agree across thread counts.
-fn simulate_matrix_json(args: &Args, out: &StudyOutput) -> String {
-    let machine = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let many = args.threads.unwrap_or(machine).max(1);
-    let thread_counts: Vec<usize> = if many == 1 { vec![1] } else { vec![1, many] };
-    let base = out.config.fleet.scale / 100.0;
-    let mut rows = Vec::new();
-    for rel in [1u32, 10, 100] {
-        for &threads in &thread_counts {
-            taxitrace_exec::set_max_workers(threads);
-            let mut fleet_cfg = out.config.fleet.clone();
-            fleet_cfg.scale = base * f64::from(rel);
-            let start = std::time::Instant::now();
-            let fleet = taxitrace_traces::simulate_fleet(&out.city, &out.weather, &fleet_cfg);
-            let wall_s = start.elapsed().as_secs_f64();
-            rows.push(format!(
-                "    {{ \"scale\": {}, \"threads\": {}, \"wall_s\": {:.3}, \"shard_units\": {}, \"sessions\": {}, \"fingerprint\": \"{:#018x}\" }}",
-                rel,
-                threads,
-                wall_s,
-                fleet.shard_count,
-                fleet.sessions.len(),
-                fleet_fingerprint(&fleet.sessions),
-            ));
-        }
-    }
-    // Restore the pool the rest of the process runs under.
-    taxitrace_exec::set_max_workers(args.threads.unwrap_or(0));
-    format!("[\n{}\n  ]", rows.join(",\n"))
-}
-
-/// Hand-rolled JSON (no serializer dependency): per-stage pipeline
-/// wall-clock, gap-fill cache efficiency and parallelism of this run,
-/// the simulate scale × threads matrix, plus an A/B of the matcher with
-/// fresh versus reused scratch on the exact transition slices the
-/// pipeline matched. `match_routing_ab` deliberately reports raw times
-/// and no speedup headline: the per-point A* inside incremental matching
-/// is a small share of its wall (see EXPERIMENTS.md), so a ratio there
-/// reads as a routing win when it mostly measures candidate scoring.
-fn write_bench_json(path: &str, args: &Args, out: &StudyOutput, analysis_s: f64) {
-    let t = &out.timings;
-    let (hits, misses) = out.cache_stats;
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let threads = taxitrace_exec::worker_count(out.transitions.len().max(2));
-
-    // Rebuild the post-filtered transition slices (deterministic given the
-    // segments) and time the matching step both ways.
-    let analyzer = OdAnalyzer::from_city(&out.city);
-    let raw = analyzer.transitions(&out.segments);
-    let slices: Vec<Vec<taxitrace_traces::RoutePoint>> = raw
-        .iter()
-        .filter(|t| t.post_filtered)
-        .map(|t| {
-            let seg = &out.segments[t.segment_index];
-            let dest = (t.destination_point + 1).min(seg.points.len() - 1);
-            seg.points[t.origin_point..=dest].to_vec()
-        })
-        .collect();
-    let index = CandidateIndex::new(&out.city.graph, &out.city.elements);
-    let mc = &out.config.matching;
-    // Best of several repetitions per arm, interleaved, to keep scheduler
-    // noise out of a comparison whose single-run time is tens of ms.
-    let mut match_fresh_s = f64::INFINITY;
-    let mut match_scratch_s = f64::INFINITY;
-    let mut fill_blind_s = f64::INFINITY;
-    let mut fill_cached_s = f64::INFINITY;
-    let matched: Vec<_> = slices
-        .iter()
-        .map(|pts| {
-            taxitrace_matching::incremental::match_trace(&out.city.graph, &index, pts, mc)
-        })
-        .collect();
-    for _ in 0..5 {
-        // Routing core in isolation: the gap-fill element paths of all
-        // matched transitions, blind/uncached versus goal-directed/cached.
-        let start = std::time::Instant::now();
-        for m in &matched {
-            let _ = taxitrace_matching::element_path_blind(&out.city.graph, &m.points, true);
-        }
-        fill_blind_s = fill_blind_s.min(start.elapsed().as_secs_f64());
-        let mut scratch = MatchScratch::new();
-        let start = std::time::Instant::now();
-        for m in &matched {
-            let _ = taxitrace_matching::element_path_with(
-                &mut scratch,
-                &out.city.graph,
-                &m.points,
-                true,
-            );
-        }
-        fill_cached_s = fill_cached_s.min(start.elapsed().as_secs_f64());
-        let start = std::time::Instant::now();
-        let _ = taxitrace_exec::par_map(&slices, |pts| {
-            taxitrace_matching::incremental::match_trace_reference(
-                &out.city.graph,
-                &index,
-                pts,
-                mc,
-            )
-        });
-        match_fresh_s = match_fresh_s.min(start.elapsed().as_secs_f64());
-        let start = std::time::Instant::now();
-        let _ = taxitrace_exec::par_map_init(&slices, MatchScratch::new, |scratch, pts| {
-            taxitrace_matching::incremental::match_trace_with(
-                scratch,
-                &out.city.graph,
-                &index,
-                pts,
-                mc,
-            )
-        });
-        match_scratch_s = match_scratch_s.min(start.elapsed().as_secs_f64());
-    }
-    let matrix = simulate_matrix_json(args, out);
-    let json = format!(
-        "{{\n  \"seed\": {},\n  \"scale\": {},\n  \"experiment\": \"{}\",\n  \"threads\": {},\n  \"study_fingerprint\": \"{:#018x}\",\n  \"stages_s\": {{\n    \"simulate\": {:.3},\n    \"clean\": {:.3},\n    \"od\": {:.3},\n    \"match_fuse\": {:.3},\n    \"analysis\": {:.3}\n  }},\n  \"gap_fill_cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.4}\n  }},\n  \"match_routing_ab\": {{\n    \"traces\": {},\n    \"blind_uncached_s\": {:.4},\n    \"goal_directed_cached_s\": {:.4}\n  }},\n  \"gap_fill_ab\": {{\n    \"blind_dijkstra_s\": {:.4},\n    \"goal_directed_cached_s\": {:.4},\n    \"speedup\": {:.2}\n  }},\n  \"simulate_matrix\": {}\n}}\n",
-        args.seed,
-        args.scale,
-        args.experiment,
-        threads,
-        study_fingerprint(out),
-        t.simulate_s,
-        t.clean_s,
-        t.od_s,
-        t.match_fuse_s,
-        analysis_s,
-        hits,
-        misses,
-        hit_rate,
-        slices.len(),
-        match_fresh_s,
-        match_scratch_s,
-        fill_blind_s,
-        fill_cached_s,
-        fill_blind_s / fill_cached_s.max(1e-9),
-        matrix,
-    );
-    std::fs::write(path, json)
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
 }
 
 // --------------------------------------------- storage maintenance tools
@@ -845,23 +648,19 @@ fn cmd_fsck(args: &Args) {
     }
 }
 
-/// Builds the serving snapshot for `serve`/`serve-bench`: replayed from a
-/// persisted store when `--store` names one (verified read path, salvage
-/// demotion), otherwise simulated from the seed.
-fn build_snapshot(args: &Args) -> taxitrace_serve::Snapshot {
-    taxitrace_serve::Snapshot::from_output(run_study(args))
-}
-
 /// `repro serve [--port P] [--threads N] [--shutdown-file PATH]`: run the
-/// HTTP query service. Prints the bound address (ephemeral port resolved)
-/// on stdout so scripts can discover it. With `--shutdown-file`, polls
-/// for the file and shuts down gracefully when it appears — in-flight
-/// requests drain, workers join — so scripts get a clean exit instead of
-/// `kill`. Without it, runs until the process is killed.
+/// HTTP query service over the study's snapshot — replayed from a
+/// persisted store when `--store` names one (verified read path, salvage
+/// demotion), otherwise simulated from the seed. Prints the bound address
+/// (ephemeral port resolved) on stdout so scripts can discover it. With
+/// `--shutdown-file`, polls for the file and shuts down gracefully when it
+/// appears — in-flight requests drain, workers join — so scripts get a
+/// clean exit instead of `kill`. Without it, runs until the process is
+/// killed.
 fn cmd_serve(args: &Args) {
     use std::io::Write as _;
     let workers = args.threads.unwrap_or(4).max(1);
-    let snapshot = build_snapshot(args);
+    let snapshot = taxitrace_serve::Snapshot::from_output(run_study(args));
     let registry = taxitrace_obs::Registry::new();
     let server = taxitrace_serve::Server::start(snapshot, args.port, workers, registry)
         .unwrap_or_else(|e| die(&format!("cannot bind port {}: {e}", args.port)));
@@ -881,46 +680,6 @@ fn cmd_serve(args: &Args) {
         None => loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         },
-    }
-}
-
-/// `repro serve-bench [--requests N] [--threads N]`: start the service on
-/// an ephemeral port, drive the seeded closed-loop load against it, run
-/// the read-path contention comparison, and emit the `BENCH_serve.json`
-/// document (stdout, or `--bench-json PATH`).
-fn cmd_serve_bench(args: &Args) {
-    let workers = args.threads.unwrap_or(4).max(1);
-    let registry = taxitrace_obs::Registry::new();
-    let server =
-        taxitrace_serve::Server::start(build_snapshot(args), 0, workers, registry.clone())
-            .unwrap_or_else(|e| die(&format!("cannot start server: {e}")));
-    eprintln!("[repro] serve-bench on {} ({} workers)", server.addr(), workers);
-    let spec = taxitrace_serve::LoadSpec {
-        seed: args.seed,
-        clients: workers,
-        requests_per_client: (args.requests / workers).max(1),
-    };
-    let report = taxitrace_serve::run_load(server.addr(), &server.snapshot(), &spec);
-    if report.errors > 0 {
-        eprintln!("[repro] WARNING: {} request(s) failed", report.errors);
-    }
-    let served = registry.snapshot().counter("serve.requests_total").unwrap_or(0);
-    let contention = taxitrace_serve::contention_bench(workers, 200_000);
-    server.shutdown();
-    let doc = format!(
-        "{{\n  \"schema\": 1,\n  \"seed\": {},\n  \"scale\": {},\n  \"workers\": {},\n  \
-         \"served_requests\": {},\n  \"load\": {},\n  \"contention\": {}\n}}\n",
-        args.seed,
-        args.scale,
-        workers,
-        served,
-        report.to_json(),
-        contention.to_json()
-    );
-    match &args.bench_json {
-        Some(path) => std::fs::write(path, &doc)
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}"))),
-        None => print!("{doc}"),
     }
 }
 
@@ -995,6 +754,7 @@ fn run(experiment: &str, args: &Args) {
         "fig9" => fig9(args),
         "fig10" => fig10(args),
         "validation" => validation(args),
+        "fingerprint" => fingerprint(args),
         "ablation-thick" => ablation_thick(args),
         "ablation-lookahead" => ablation_lookahead(args),
         "ablation-rules" => ablation_rules(args),
@@ -1369,6 +1129,14 @@ fn fig10(args: &Args) {
          (the paper: \"in general there is an increase of low speed, also independent\n\
          of the weather conditions\")."
     );
+}
+
+// ------------------------------------------------------------ fingerprint
+
+/// Prints the study fingerprint, in the line format of `repro stream` and
+/// `repro ingest`.
+fn fingerprint(args: &Args) {
+    println!("study fingerprint {:#018x}", study_fingerprint(output(args)));
 }
 
 // ------------------------------------------------------------- validation

@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
 use taxitrace_cleaning::{
     clean_session, session_anomaly, AnomalyKind, CleanedSession, CleaningTotals, TripSegment,
 };
@@ -33,32 +32,6 @@ use crate::config::StudyConfig;
 use crate::error::Error;
 use crate::quarantine::{check_budget, Quarantine, QuarantineEntry, QuarantineReason};
 use crate::transitions::TransitionRecord;
-
-/// Wall-clock seconds of each pipeline stage, as a view over the study's
-/// recorded spans (see [`StageTimings::from_metrics`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct StageTimings {
-    /// Fleet simulation plus persisting sessions into the store.
-    pub simulate_s: f64,
-    /// Session cleaning (order repair, segmentation, filters).
-    pub clean_s: f64,
-    /// O-D funnel and corridor-transition extraction.
-    pub od_s: f64,
-    /// Map-matching and attribute fusion of post-filtered transitions.
-    pub match_fuse_s: f64,
-}
-
-impl StageTimings {
-    /// Reads the four stage walls out of a metrics snapshot's spans.
-    pub fn from_metrics(snapshot: &MetricsSnapshot) -> Self {
-        Self {
-            simulate_s: snapshot.span_wall_s("study/simulate"),
-            clean_s: snapshot.span_wall_s("study/clean"),
-            od_s: snapshot.span_wall_s("study/od"),
-            match_fuse_s: snapshot.span_wall_s("study/match_fuse"),
-        }
-    }
-}
 
 /// The observability context threaded through the stages: one registry for
 /// the whole run plus the executor's meter registered on it.
@@ -203,8 +176,6 @@ pub struct StudyOutput {
     /// Dead-letter ledger of every record the run quarantined (empty for
     /// a healthy run; inspect it to understand degraded ones).
     pub quarantine: Quarantine,
-    /// Per-stage wall-clock of this run (a view over `metrics` spans).
-    pub timings: StageTimings,
     /// Gap-fill path-cache `(hits, misses)` summed over matcher workers.
     pub cache_stats: (u64, u64),
     /// Full metrics of the run: counters, gauges, histograms and spans
@@ -790,13 +761,11 @@ pub fn transition_anomaly(
 }
 
 /// Matches and fuses one corridor transition over its parent segment.
-/// Shared by the batch stage-4 fuse and the streaming per-closed-trip
-/// path, so the two produce identical records by construction. The
-/// boolean reports whether the gap-fill search blew its expansion budget
-/// somewhere in this slice (the record is then quarantined as an
+/// The boolean reports whether the gap-fill search blew its expansion
+/// budget somewhere in this slice (the record is then quarantined as an
 /// unmatched gap).
 #[allow(clippy::too_many_arguments)] // the stage-4 working set, spelled out
-pub fn fuse_transition(
+fn fuse_transition(
     city: &SyntheticCity,
     weather: &WeatherModel,
     config: &StudyConfig,
@@ -841,8 +810,7 @@ pub fn fuse_transition(
 }
 
 /// The matching configuration stage 4 actually runs with: the study's,
-/// with the chaos plan's gap-fill budget override applied. Shared with
-/// the streaming path so both fuse under identical budgets.
+/// with the chaos plan's gap-fill budget override applied.
 pub fn resolved_matching_config(config: &StudyConfig) -> MatchConfig {
     let mut matching_config = config.matching;
     if let Some(budget) =
@@ -937,7 +905,6 @@ impl OdSelected {
         span.finish();
 
         let metrics = obs.registry.snapshot();
-        let timings = StageTimings::from_metrics(&metrics);
         Ok(StudyOutput {
             config,
             city,
@@ -948,7 +915,6 @@ impl OdSelected {
             transitions,
             cleaning,
             quarantine,
-            timings,
             cache_stats,
             metrics,
         })
@@ -1100,8 +1066,6 @@ mod tests {
             assert!(m.span(path).is_some(), "missing span {path}");
         }
         assert!(m.span("study/match_fuse/match").is_some());
-        // Timings are exactly the span walls.
-        assert_eq!(out.timings, StageTimings::from_metrics(m));
         // Counters agree with the carried outputs.
         assert_eq!(m.counter("clean.sessions"), Some(out.cleaning.sessions as u64));
         assert_eq!(

@@ -31,13 +31,6 @@ pub struct GridStats {
     pub feature_totals: [usize; 3],
 }
 
-/// Aggregates transition point speeds into grid cells, optionally for one
-/// direction pair only (Fig. 6 shows L-T).
-#[deprecated(since = "0.1.0", note = "use StudyOutput::grid_stats(pair)")]
-pub fn grid_analysis(output: &StudyOutput, pair: Option<&str>) -> GridStats {
-    output.grid_stats(pair)
-}
-
 impl StudyOutput {
     /// The §V 200 m grid analysis on this study's transitions: per-cell
     /// average speeds joined with per-cell feature counts, optionally for

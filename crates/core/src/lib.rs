@@ -76,15 +76,12 @@ pub use export::export_csv;
 pub use config::{ConfigError, FaultConfig, StudyConfig, StudyConfigBuilder};
 pub use error::Error;
 pub use experiment::{
-    fuse_transition, resolved_fault_policy, resolved_matching_config,
-    transition_anomaly, weather_for, Cleaned, OdSelected, Simulated, StageTimings,
-    Study, StudyOutput,
+    resolved_fault_policy, resolved_matching_config, transition_anomaly, weather_for, Cleaned,
+    OdSelected, Simulated, Study, StudyOutput,
 };
 pub use quarantine::{check_budget, Quarantine, QuarantineEntry, QuarantineReason};
 pub use taxitrace_traces::FaultPlan;
 pub use taxitrace_cleaning::CleaningTotals;
-#[allow(deprecated)]
-pub use gridstats::grid_analysis;
 pub use gridstats::{CellStat, GridStats, Table5, Table5Class};
 pub use mixedanalysis::{mixed_model, mixed_model_with_features, CellEffect, MixedResults};
 pub use queryapi::{

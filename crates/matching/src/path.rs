@@ -74,9 +74,9 @@ pub fn element_path_budgeted(
 }
 
 /// Pre-optimisation reference of [`element_path`]: blind Dijkstra per gap
-/// with per-query allocation and no memoisation. Kept so benches and the
-/// `repro --bench-json` A/B can quantify the routing-core speedup against
-/// the behaviour this crate shipped with.
+/// with per-query allocation and no memoisation. Kept as the behavioural
+/// reference [`crate::incremental::match_trace_reference`] runs on, which
+/// the matching bench compares against the optimised path.
 pub fn element_path_blind(
     graph: &RoadGraph,
     matched: &[MatchedPoint],

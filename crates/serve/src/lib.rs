@@ -12,7 +12,7 @@
 //! 2. **No locks on the read path.** Workers share snapshots through an
 //!    [`EpochCell`] — a hand-rolled, safe-Rust arc-swap where the
 //!    steady-state read is one atomic load (see [`epoch`] for the
-//!    protocol, [`loadgen::contention_bench`] for the evidence).
+//!    protocol and the measurement behind it).
 //! 3. **One query surface.** The HTTP routes answer through the same
 //!    [`QueryEngine`]/[`answer`](taxitrace_core::answer) implementation
 //!    as the batch path, so serving cannot drift from analysis — pinned
@@ -42,7 +42,7 @@ pub mod snapshot;
 
 pub use epoch::{EpochCell, EpochReader};
 pub use http::{ServeOptions, Server};
-pub use loadgen::{contention_bench, fnv1a, run_load, ContentionReport, LoadReport, LoadSpec};
+pub use loadgen::{fnv1a, run_load, LoadReport, LoadSpec};
 pub use snapshot::Snapshot;
 
 // Re-exported so binaries can use the unified surface without naming the

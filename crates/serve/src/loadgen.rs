@@ -1,4 +1,4 @@
-//! Seeded closed-loop load generator and read-path contention bench.
+//! Seeded closed-loop load generator.
 //!
 //! `run_load` drives N client threads against a running [`crate::Server`],
 //! each issuing its share of a deterministic query mix drawn from the
@@ -10,22 +10,13 @@
 //! client counts. Fingerprints are per-request FNV-1a hashes combined
 //! with wrapping addition (commutative, and unlike XOR repeated
 //! request/response pairs don't cancel out).
-//!
-//! `contention_bench` isolates the snapshot-acquisition cost the epoch
-//! design removes: N threads acquiring the current snapshot pointer M
-//! times each, once through an [`EpochReader`] (one atomic load) and once
-//! through a `Mutex<Arc<T>>` locked per request (the RwLock-per-request
-//! family every reader contends on). The ratio is the evidence behind
-//! "no locks on the read path" in `BENCH_serve.json`.
 
 use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
 
 use taxitrace_traces::Rng;
 
-use crate::epoch::EpochCell;
 use crate::snapshot::Snapshot;
 
 /// FNV-1a offset basis.
@@ -54,8 +45,8 @@ pub struct LoadSpec {
     pub requests_per_client: usize,
 }
 
-/// Outcome of a load run: determinism fingerprints plus latency and
-/// throughput figures.
+/// Outcome of a load run: request and error counts plus the determinism
+/// fingerprints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
     pub seed: u64,
@@ -71,9 +62,6 @@ pub struct LoadReport {
     /// runs because answers are canonical JSON over an immutable
     /// snapshot.
     pub response_fingerprint: u64,
-    pub p50_us: u64,
-    pub p99_us: u64,
-    pub throughput_qps: f64,
 }
 
 /// Plans one client's request paths from its forked rng stream. Sampling
@@ -176,155 +164,36 @@ pub fn run_load(addr: SocketAddr, snapshot: &Snapshot, spec: &LoadSpec) -> LoadR
         .flatten()
         .fold(0u64, |acc, p| acc.wrapping_add(fnv1a(p.as_bytes())));
 
-    // lint:allow(determinism): wall-clock throughput measurement, not pipeline state
-    let t0 = std::time::Instant::now();
     let mut handles = Vec::with_capacity(plans.len());
     for plan in plans {
         handles.push(std::thread::spawn(move || {
-            let mut latencies = Vec::with_capacity(plan.len());
             let mut fp = 0u64;
             let mut errors = 0usize;
             for path in &plan {
-                // lint:allow(determinism): per-request latency sample
-                let start = std::time::Instant::now();
                 match http_get(addr, path) {
                     Ok((200, body)) => fp = fp.wrapping_add(fnv1a(body.as_bytes())),
                     _ => errors += 1,
                 }
-                latencies.push(start.elapsed().as_micros() as u64);
             }
-            (latencies, fp, errors)
+            (plan.len(), fp, errors)
         }));
     }
-    let mut latencies = Vec::with_capacity(spec.clients * spec.requests_per_client);
+    let mut requests = 0usize;
     let mut response_fingerprint = 0u64;
     let mut errors = 0usize;
     for h in handles {
-        let (lat, fp, errs) = h.join().unwrap_or_else(|_| (Vec::new(), 0, usize::MAX));
-        latencies.extend(lat);
+        let (n, fp, errs) = h.join().unwrap_or((0, 0, usize::MAX));
+        requests += n;
         response_fingerprint = response_fingerprint.wrapping_add(fp);
         errors = errors.saturating_add(errs);
     }
-    let wall = t0.elapsed().as_secs_f64();
-
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx.min(latencies.len() - 1)]
-    };
     LoadReport {
         seed: spec.seed,
         clients: spec.clients,
-        requests: latencies.len(),
+        requests,
         errors,
         mix_fingerprint,
         response_fingerprint,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        throughput_qps: if wall > 0.0 { latencies.len() as f64 / wall } else { 0.0 },
-    }
-}
-
-/// Read-path contention comparison: ns/op to acquire the current
-/// snapshot pointer under `threads`-way contention.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContentionReport {
-    pub threads: usize,
-    pub acquisitions_per_thread: usize,
-    /// Epoch reader: one `Acquire` load per acquisition, no lock.
-    pub epoch_ns_per_op: f64,
-    /// `Mutex<Arc<T>>` locked and cloned per acquisition — the
-    /// lock-per-request design the epoch cell replaces.
-    pub mutex_ns_per_op: f64,
-}
-
-/// Measures pointer-acquisition cost under contention for both designs.
-/// Uses a tiny payload so the numbers isolate acquisition, not use.
-pub fn contention_bench(threads: usize, acquisitions_per_thread: usize) -> ContentionReport {
-    let epoch_cell = Arc::new(EpochCell::new(Arc::new(0u64)));
-    let epoch_ns = timed_ns(threads, acquisitions_per_thread, {
-        let cell = Arc::clone(&epoch_cell);
-        move |n| {
-            let mut reader = cell.reader();
-            let mut acc = 0u64;
-            for _ in 0..n {
-                acc = acc.wrapping_add(**std::hint::black_box(reader.get()));
-            }
-            acc
-        }
-    });
-    let mutex_cell = Arc::new(Mutex::new(Arc::new(0u64)));
-    let mutex_ns = timed_ns(threads, acquisitions_per_thread, {
-        let cell = Arc::clone(&mutex_cell);
-        move |n| {
-            let mut acc = 0u64;
-            for _ in 0..n {
-                let arc =
-                    Arc::clone(&cell.lock().unwrap_or_else(|e| e.into_inner()));
-                acc = acc.wrapping_add(*std::hint::black_box(arc));
-            }
-            acc
-        }
-    });
-    ContentionReport {
-        threads,
-        acquisitions_per_thread,
-        epoch_ns_per_op: epoch_ns,
-        mutex_ns_per_op: mutex_ns,
-    }
-}
-
-/// Runs `body(n)` on `threads` threads and returns mean ns per op.
-fn timed_ns<F>(threads: usize, n: usize, body: F) -> f64
-where
-    F: Fn(usize) -> u64 + Clone + Send + 'static,
-{
-    // lint:allow(determinism): benchmark timing, not pipeline state
-    let t0 = std::time::Instant::now();
-    let handles: Vec<_> = (0..threads.max(1))
-        .map(|_| {
-            let body = body.clone();
-            std::thread::spawn(move || std::hint::black_box(body(n)))
-        })
-        .collect();
-    for h in handles {
-        let _ = h.join();
-    }
-    let total_ops = (threads.max(1) * n.max(1)) as f64;
-    t0.elapsed().as_nanos() as f64 / total_ops
-}
-
-impl LoadReport {
-    /// JSON object fragment for `BENCH_serve.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"clients\":{},\"requests\":{},\"errors\":{},\
-             \"mix_fingerprint\":\"{:016x}\",\"response_fingerprint\":\"{:016x}\",\
-             \"p50_us\":{},\"p99_us\":{},\"throughput_qps\":{:.1}}}",
-            self.seed,
-            self.clients,
-            self.requests,
-            self.errors,
-            self.mix_fingerprint,
-            self.response_fingerprint,
-            self.p50_us,
-            self.p99_us,
-            self.throughput_qps
-        )
-    }
-}
-
-impl ContentionReport {
-    /// JSON object fragment for `BENCH_serve.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\":{},\"acquisitions_per_thread\":{},\
-             \"epoch_ns_per_op\":{:.1},\"mutex_ns_per_op\":{:.1}}}",
-            self.threads, self.acquisitions_per_thread, self.epoch_ns_per_op, self.mutex_ns_per_op
-        )
     }
 }
 
@@ -337,14 +206,5 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv1a(b"foobar"), 0x85944171F73967E8);
-    }
-
-    #[test]
-    fn contention_bench_produces_positive_figures() {
-        let r = contention_bench(2, 10_000);
-        assert!(r.epoch_ns_per_op > 0.0);
-        assert!(r.mutex_ns_per_op > 0.0);
-        let json = r.to_json();
-        assert!(json.contains("\"epoch_ns_per_op\""));
     }
 }

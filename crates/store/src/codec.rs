@@ -276,8 +276,7 @@ impl LoadOutcome {
 }
 
 /// Reads sessions from `path`, accepting v1, v2 and v3 containers. The
-/// single entry point behind the deprecated `load_sessions*` family: a
-/// clean v3 file is served through the offset-index fast path; older
+/// single store read entry point: a clean v3 file is served through the offset-index fast path; older
 /// layouts and files with *any* verification failure go through the
 /// sequential salvage scan so damage is named precisely. With
 /// [`LoadOptions::strict`] the first damage entry becomes a
@@ -322,39 +321,8 @@ pub fn load_bytes(raw: &Bytes, opts: &LoadOptions) -> Result<LoadOutcome, StoreE
     }
 }
 
-/// Reads sessions from `path`, accepting v1, v2 and v3 containers.
-/// Strict: any damage — CRC mismatch, truncation, header disagreement —
-/// is a [`StoreError::BadFormat`].
-#[deprecated(since = "0.1.0", note = "use codec::load(path, &LoadOptions::strict())")]
-pub fn load_sessions(path: &Path) -> Result<Vec<RawTrip>, StoreError> {
-    Ok(load(path, &LoadOptions::strict())?.sessions)
-}
-
-/// Strict load plus provenance: the flag is `true` when the v3 offset
-/// index served the read.
-#[deprecated(since = "0.1.0", note = "use codec::load(path, &LoadOptions::strict())")]
-pub fn load_sessions_stats(path: &Path) -> Result<(Vec<RawTrip>, bool), StoreError> {
-    let out = load(path, &LoadOptions::strict())?;
-    Ok((out.sessions, out.indexed))
-}
-
-/// Reads sessions from `path`, recovering every record that verifies and
-/// reporting the rest as typed damage.
-#[deprecated(since = "0.1.0", note = "use codec::load(path, &LoadOptions::salvage())")]
-pub fn load_sessions_salvage(path: &Path) -> Result<Salvage, StoreError> {
-    Ok(load(path, &LoadOptions::salvage())?.into_salvage())
-}
-
-/// Salvage load plus provenance: the flag is `true` when the v3 offset
-/// index served the read.
-#[deprecated(since = "0.1.0", note = "use codec::load(path, &LoadOptions::salvage())")]
-pub fn load_sessions_salvage_stats(path: &Path) -> Result<(Salvage, bool), StoreError> {
-    let out = load(path, &LoadOptions::salvage())?;
-    let indexed = out.indexed;
-    Ok((out.into_salvage(), indexed))
-}
-
-/// [`load_sessions_salvage`] over an in-memory image (fsck, tests).
+/// The salvage scan over an in-memory image (fsck, tests): recovers every
+/// record that verifies and reports the rest as typed damage.
 pub fn salvage_bytes(raw: &[u8]) -> Salvage {
     let mut report = SalvageReport {
         version: 0,
@@ -401,11 +369,11 @@ pub fn record_spans(raw: &[u8]) -> Result<Vec<RecordSpan>, StoreError> {
 
 /// Result of a v3 indexed load: the sessions plus the header fingerprint.
 #[derive(Debug, Clone)]
-pub struct IndexedLoad {
+struct IndexedLoad {
     /// Sessions in file order.
-    pub sessions: Vec<RawTrip>,
+    sessions: Vec<RawTrip>,
     /// Config fingerprint from the header (0 = untagged).
-    pub fingerprint: u64,
+    fingerprint: u64,
 }
 
 /// Verified v3 header + offset index of an image.
@@ -473,14 +441,6 @@ fn decode_record_at(raw: &Bytes, off: usize, index: u64) -> Result<(RawTrip, usi
         )));
     }
     Ok((session, end))
-}
-
-/// Zero-copy indexed read of a whole v3 image: seeks each record via the
-/// offset index and decodes payload slices borrowed from `raw` — no
-/// full-file scan, no per-payload copies.
-#[deprecated(since = "0.1.0", note = "use codec::load_bytes(raw, &LoadOptions::strict())")]
-pub fn load_sessions_indexed_bytes(raw: &Bytes) -> Result<Option<IndexedLoad>, StoreError> {
-    indexed_load_bytes(raw)
 }
 
 /// Zero-copy indexed read of a whole v3 image: seeks each record via the
@@ -1362,38 +1322,6 @@ mod tests {
         assert_eq!(salvage.report.damage[0].kind, DamageKind::HeaderMismatch);
         let ids: Vec<_> = salvage.sessions.iter().map(|s| s.id.0).collect();
         assert_eq!(ids, [100, 101, 101, 102]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// The deprecated `load_sessions*` wrappers must stay behaviourally
-    /// identical to [`load`] until the last external caller migrates.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_agree_with_load() {
-        let path = tmp_path("wrappers.tts");
-        let sessions = sample_sessions(6);
-        save_sessions_tagged(&path, &sessions, 0xD00D).unwrap();
-        let strict = load(&path, &LoadOptions::strict()).unwrap();
-        assert_eq!(load_sessions(&path).unwrap(), strict.sessions);
-        assert_eq!(load_sessions_stats(&path).unwrap(), (strict.sessions.clone(), strict.indexed));
-        let salv = load(&path, &LoadOptions::salvage()).unwrap();
-        let wrapped = load_sessions_salvage(&path).unwrap();
-        assert_eq!(wrapped.sessions, salv.sessions);
-        assert_eq!(wrapped.report, salv.report);
-        let (wrapped2, indexed) = load_sessions_salvage_stats(&path).unwrap();
-        assert_eq!(wrapped2.report, salv.report);
-        assert_eq!(indexed, salv.indexed);
-        let raw = Bytes::from(std::fs::read(&path).unwrap());
-        let via_wrapper = load_sessions_indexed_bytes(&raw).unwrap().unwrap();
-        assert_eq!(via_wrapper.sessions, strict.sessions);
-        // Damaged file: strict wrapper and strict load fail identically.
-        let mut dmg = std::fs::read(&path).unwrap();
-        let spans = record_spans(&dmg).unwrap();
-        dmg[(spans[2].payload_start + spans[2].end) / 2] ^= 0x08;
-        std::fs::write(&path, &dmg).unwrap();
-        let e1 = load(&path, &LoadOptions::strict()).unwrap_err().to_string();
-        let e2 = load_sessions(&path).unwrap_err().to_string();
-        assert_eq!(e1, e2);
         std::fs::remove_file(&path).ok();
     }
 

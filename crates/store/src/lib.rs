@@ -34,9 +34,7 @@ pub use checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointFile, CHECKPOINT_MAGIC,
     CHECKPOINT_MAGIC_V2,
 };
-pub use codec::{
-    DamageKind, IndexedLoad, LoadOptions, LoadOutcome, RecordDamage, Salvage, SalvageReport,
-};
+pub use codec::{DamageKind, LoadOptions, LoadOutcome, RecordDamage, Salvage, SalvageReport};
 pub use fsck::{fsck_path, FileKind, FsckReport};
 pub use query::{Query, QueryError};
 pub use store::{StoreError, StoreStats, TripStore};

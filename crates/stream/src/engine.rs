@@ -2,8 +2,8 @@
 //!
 //! One feeder thread pushes the arrival-ordered feed through a bounded
 //! queue; the processor thread runs the watermark machine, cleans each
-//! trip the moment it closes, map-matches its transitions into the
-//! sliding window, and checkpoints the stream cursor. At end of stream
+//! trip the moment it closes, admits its O-D transitions' pair labels to
+//! the sliding window, and checkpoints the stream cursor. At end of stream
 //! the accumulated per-session products are assembled through the
 //! *unchanged* batch stages (`assemble_cleaned → analyze_od →
 //! match_fuse`), which is what makes stream-end output byte-identical to
@@ -24,10 +24,9 @@ use std::thread;
 
 use taxitrace_cleaning::{clean_session, session_anomaly, CleaningTotals, TripSegment};
 use taxitrace_core::{
-    check_budget, fuse_transition, resolved_fault_policy, resolved_matching_config,
-    transition_anomaly, Error, Quarantine, QuarantineEntry, QuarantineReason, Study, StudyConfig,
+    check_budget, resolved_fault_policy, transition_anomaly, Error, Quarantine, QuarantineEntry,
+    QuarantineReason, Study, StudyConfig,
 };
-use taxitrace_matching::{CandidateIndex, MatchScratch};
 use taxitrace_od::OdAnalyzer;
 use taxitrace_traces::{RawTrip, RoutePoint};
 
@@ -123,13 +122,9 @@ pub fn run_stream(
             .map_err(|e| Error::Pipeline(format!("spawn stream feeder: {e}")))?
     };
 
-    // Stage-4 working set for *live* incremental matching. Its products
-    // feed the sliding window only; the authoritative tables are
-    // recomputed by the batch stages at assembly.
+    // Live O-D extraction feeds the sliding window only; the
+    // authoritative tables are computed by the batch stages at assembly.
     let analyzer = OdAnalyzer::from_city(&sim.city);
-    let index = CandidateIndex::new(&sim.city.graph, &sim.city.elements);
-    let mut scratch = MatchScratch::new();
-    let matching_config = resolved_matching_config(&sim.config);
     let (error_budget, max_attempts) = resolved_fault_policy(&sim.config);
     let panic_one_in = plan.as_ref().map(|p| p.task_panic_one_in).unwrap_or(0);
     let kill_after = plan.as_ref().map(|p| p.stream_kill_after_records).unwrap_or(0);
@@ -192,11 +187,8 @@ pub fn run_stream(
                     close_trip(
                         buffer,
                         sim.store.sessions(),
-                        &sim,
+                        &sim.config,
                         &analyzer,
-                        &index,
-                        &mut scratch,
-                        &matching_config,
                         panic_one_in,
                         max_attempts,
                         &mut state,
@@ -244,11 +236,8 @@ pub fn run_stream(
         close_trip(
             buffer,
             sim.store.sessions(),
-            &sim,
+            &sim.config,
             &analyzer,
-            &index,
-            &mut scratch,
-            &matching_config,
             panic_one_in,
             max_attempts,
             &mut state,
@@ -396,16 +385,15 @@ fn clean_one(
 }
 
 /// Processes one watermark-closed trip: incremental clean, then live O-D
-/// extraction and map-matching into the sliding window.
-#[allow(clippy::too_many_arguments)] // the live stage-2..4 working set
+/// extraction into the sliding window. A transition enters the window
+/// under the filters batch applies before matching: not anomalous (the
+/// O-D stage) and post-filtered (stage 4).
+#[allow(clippy::too_many_arguments)] // the live stage-2..3 working set
 fn close_trip(
     buffer: TripBuffer,
     sessions: &[RawTrip],
-    sim: &taxitrace_core::Simulated,
+    config: &StudyConfig,
     analyzer: &OdAnalyzer,
-    index: &CandidateIndex,
-    scratch: &mut MatchScratch,
-    matching_config: &taxitrace_matching::MatchConfig,
     panic_one_in: u64,
     max_attempts: u32,
     state: &mut StreamState,
@@ -416,31 +404,16 @@ fn close_trip(
     let last_event_s = buffer.last_event_s;
     let points: Vec<RoutePoint> = buffer.points.into_values().collect();
     let session = rebuild_session(&sessions[si as usize], points);
-    let products = clean_one(&session, &sim.config, panic_one_in, max_attempts, &mut state.totals);
+    let products = clean_one(&session, config, panic_one_in, max_attempts, &mut state.totals);
     metrics.trips_closed.inc();
 
     if products.quarantine.is_none() && !products.segments.is_empty() {
-        // Live incremental matching: feeds the window, then is discarded
-        // — the batch stages recompute it over the full segment set.
         for t in analyzer.transitions(&products.segments) {
-            if !t.post_filtered {
-                continue;
+            if t.post_filtered
+                && transition_anomaly(&products.segments[t.segment_index], &t).is_none()
+            {
+                window.push(last_event_s, t.pair_label(), metrics);
             }
-            let seg = &products.segments[t.segment_index];
-            if transition_anomaly(seg, &t).is_some() {
-                continue;
-            }
-            let (record, _) = fuse_transition(
-                &sim.city,
-                &sim.weather,
-                &sim.config,
-                matching_config,
-                index,
-                scratch,
-                seg,
-                &t,
-            );
-            window.push(last_event_s, record.pair, metrics);
         }
     }
     state.closed.insert(si, products);

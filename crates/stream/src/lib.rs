@@ -5,8 +5,8 @@
 //! would see it — individual route points in arrival order, interleaved
 //! across the fleet — through a bounded queue with explicit
 //! backpressure, closes trips against an event-time watermark, cleans
-//! and map-matches each trip the moment it closes, and keeps a sliding
-//! window of O-D statistics while the stream runs.
+//! each trip and extracts its O-D transitions the moment it closes, and
+//! keeps a sliding window of O-D statistics while the stream runs.
 //!
 //! The headline property is **batch parity**: at end of stream the
 //! accumulated per-session products are assembled through the unchanged

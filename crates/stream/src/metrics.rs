@@ -47,7 +47,7 @@ pub struct StreamMetrics {
     pub queue_depth: Gauge,
     /// Frontier minus the stalest open trip's last event, seconds.
     pub watermark_lag_s: Gauge,
-    /// Fused transitions inside the sliding window.
+    /// Post-filtered transitions inside the sliding window.
     pub window_transitions: Gauge,
     /// Distinct O-D pairs inside the sliding window.
     pub window_od_pairs: Gauge,

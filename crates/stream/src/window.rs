@@ -1,9 +1,9 @@
 //! Sliding-window statistics over live-closed trips.
 //!
-//! As trips close against the watermark, their fused transitions land
-//! here; the window keeps the last `window_s` seconds of *event time* and
-//! publishes how many transitions (and distinct O-D pairs) are currently
-//! inside it. These are operational gauges — the authoritative study
+//! As trips close against the watermark, the O-D pair labels of their
+//! post-filtered transitions land here; the window keeps the last
+//! `window_s` seconds of *event time* and publishes how many transitions
+//! (and distinct O-D pairs) are currently inside it. These are operational gauges — the authoritative study
 //! tables still come from the batch-identical assembly at stream end —
 //! but they are what a live deployment would watch between nightly runs.
 
@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::metrics::StreamMetrics;
 
-/// Event-time sliding window of recently fused transitions.
+/// Event-time sliding window of recently closed transitions.
 #[derive(Debug)]
 pub struct SlidingWindow {
     window_s: i64,
@@ -28,7 +28,7 @@ impl SlidingWindow {
         Self { window_s, entries: VecDeque::new(), pairs: BTreeMap::new(), peak: 0 }
     }
 
-    /// Admits one fused transition at its event time and re-publishes the
+    /// Admits one transition's pair label at its event time and re-publishes the
     /// window gauges.
     pub fn push(&mut self, event_s: i64, pair: String, metrics: &StreamMetrics) {
         self.evict(event_s);

@@ -90,3 +90,28 @@ fn stream_metrics_present_in_snapshot() {
         Some(s.report.feed.records)
     );
 }
+
+/// Pins the live sliding window for one quick seed: the peak and the
+/// final `stream.window.*` gauges, at the shipped one-hour window and at
+/// a window wider than the study year. Only the stream feeds the window,
+/// so no parity test covers it.
+#[test]
+fn live_window_is_pinned() {
+    let window = |window_s: i64| {
+        let cfg = StreamConfig { window_s, ..StreamConfig::default() };
+        let run = run_stream(StudyConfig::quick(7), &cfg, None).expect("stream runs");
+        let gauge = |name: &str| run.output.metrics.gauge(name).expect(name);
+        (
+            run.report.window_peak_transitions,
+            gauge("stream.window.transitions"),
+            gauge("stream.window.od_pairs"),
+            run.output.transitions.len(),
+        )
+    };
+    // One hour: transitions are sparse, so at most one is live at a time
+    // and the window has drained by the end of the feed.
+    assert_eq!(window(StreamConfig::default().window_s), (1, 0.0, 0.0, 9));
+    // Wider than the year: nothing is evicted, so the window ends holding
+    // every fused transition of the study, over four O-D pairs.
+    assert_eq!(window(400 * 86_400), (9, 9.0, 4.0, 9));
+}
