@@ -43,10 +43,10 @@ fn matching_benches(c: &mut Criterion) {
 
     // Gap fill is exercised by sparse traces (dense ones rarely leave
     // adjacent edges): keep every 4th point so most transitions need a
-    // routed fill, then compare the blind uncached reference against the
-    // goal-directed search with a warm cross-trace cache.
+    // routed fill, then compare the blind Dijkstra reference against
+    // goal-directed A* over one reused scratch.
     let sparse: Vec<_> = points.iter().step_by(4).cloned().collect();
-    group.bench_function("sparse_gap_fill_uncached", |b| {
+    group.bench_function("sparse_gap_fill_blind", |b| {
         b.iter(|| {
             taxitrace_matching::incremental::match_trace_reference(
                 &city.graph,
@@ -56,7 +56,7 @@ fn matching_benches(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("sparse_gap_fill_cached", |b| {
+    group.bench_function("sparse_gap_fill_astar", |b| {
         let mut scratch = MatchScratch::new();
         b.iter(|| {
             taxitrace_matching::incremental::match_trace_with(

@@ -600,9 +600,9 @@ fn cmd_store_corrupt(args: &Args) {
 
 /// `repro fsck [--repair] <path>`: integrity-scan a store/checkpoint file
 /// or directory. Reports per-file version, fingerprint and record counts;
-/// with `--repair`, damaged stores are rewritten from their salvageable
-/// records (v1 stores upgraded to v2) and corrupt checkpoints removed
-/// (the pipeline recomputes them). Exits 1 while unrepaired damage
+/// with `--repair`, damaged stores are rewritten as clean v3 files from
+/// their salvageable records and corrupt checkpoints removed (the
+/// pipeline recomputes them). Exits 1 while unrepaired damage
 /// remains.
 fn cmd_fsck(args: &Args) {
     let path = args.operand("fsck needs a file or directory").to_string();

@@ -176,10 +176,8 @@ pub struct StudyOutput {
     /// Dead-letter ledger of every record the run quarantined (empty for
     /// a healthy run; inspect it to understand degraded ones).
     pub quarantine: Quarantine,
-    /// Gap-fill path-cache `(hits, misses)` summed over matcher workers.
-    pub cache_stats: (u64, u64),
     /// Full metrics of the run: counters, gauges, histograms and spans
-    /// from every stage, the executor and the matcher caches.
+    /// from every stage, the executor and the matcher.
     pub metrics: MetricsSnapshot,
 }
 
@@ -894,10 +892,6 @@ impl OdSelected {
                 transitions.push(record);
             }
         }
-        let cache_stats = scratches.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.cache_stats();
-            (h + sh, m + sm)
-        });
         taxitrace_matching::record_scratch_metrics(&scratches, &obs.registry);
         quarantine.record_stage_metrics(&obs.registry, "match_fuse", total);
         check_budget("match_fuse", quarantine.len() - before, total, error_budget)?;
@@ -915,7 +909,6 @@ impl OdSelected {
             transitions,
             cleaning,
             quarantine,
-            cache_stats,
             metrics,
         })
     }
@@ -1052,15 +1045,12 @@ mod tests {
     fn stage_metrics_cover_the_pipeline() {
         let out = output();
         let m = &out.metrics;
-        // One counter per stage family, plus executor and cache stats.
+        // One counter per stage family, plus the executor's.
         assert!(m.counter("sim.sessions").is_some_and(|v| v > 0));
         assert!(m.counter("clean.sessions").is_some_and(|v| v > 0));
         assert!(m.counter("od.transitions_total").is_some_and(|v| v > 0));
         assert!(m.counter("match.traces").is_some_and(|v| v > 0));
         assert!(m.counter("exec.tasks").is_some_and(|v| v > 0));
-        let hits = m.counter("match.cache_hits").unwrap_or(0);
-        let misses = m.counter("match.cache_misses").unwrap_or(0);
-        assert_eq!((hits, misses), out.cache_stats);
         // Spans exist for all four stages and nest under them.
         for path in ["study/simulate", "study/clean", "study/od", "study/match_fuse"] {
             assert!(m.span(path).is_some(), "missing span {path}");
@@ -1097,7 +1087,6 @@ mod tests {
             whole.total_transition_points()
         );
         assert_eq!(staged.cleaning, whole.cleaning);
-        assert_eq!(staged.cache_stats, whole.cache_stats);
         // Deterministic metric counters agree too (walls differ, counts not).
         for name in [
             "sim.sessions",

@@ -34,11 +34,13 @@
 //!
 //! `par_map(items, f)` is observationally equivalent to
 //! `items.iter().map(f).collect()` whenever `f` is a pure function of the
-//! item (plus per-worker scratch that does not alter results — caches
-//! memoising pure computations, reusable search buffers). Scheduling
-//! affects only *which worker* computes an item and *when*, never the
-//! value written to slot `i`. The pipeline relies on this: `repro`
-//! output is byte-identical across runs and thread counts.
+//! item (plus per-worker scratch that does not alter results, such as
+//! reusable search buffers). Scheduling affects only *which worker*
+//! computes an item and *when*, never the value written to slot `i`. The
+//! pipeline relies on this: `repro` output is byte-identical across runs
+//! and thread counts. Scratch that carries a memo from one item to the
+//! next would keep the values but make the work each item costs, and any
+//! counter of it, depend on the schedule.
 //!
 //! # Observability
 //!
@@ -282,7 +284,7 @@ where
 
 /// Like [`par_map`], but each worker first builds a local state with
 /// `init` and threads it through every item it claims. Use this to hold
-/// per-worker scratch (reusable search state, memo caches) across items.
+/// per-worker scratch (reusable search state, audit counters) across items.
 /// The worker states are returned so callers can fold up statistics;
 /// their order is by worker index and carries no meaning beyond that.
 pub fn par_map_init<T, R, S, I, F>(items: &[T], init: I, f: F) -> (Vec<R>, Vec<S>)

@@ -58,8 +58,8 @@ pub fn match_trace(
 }
 
 /// Pre-optimisation reference of [`match_trace`]: identical matching, but
-/// gaps are filled by blind per-query Dijkstra with no memoisation — the
-/// behaviour the goal-directed routing core replaced. Kept for benches.
+/// gaps are filled by blind per-query Dijkstra with per-query allocation —
+/// the behaviour the goal-directed routing core replaced. Kept for benches.
 pub fn match_trace_reference(
     graph: &RoadGraph,
     index: &CandidateIndex,

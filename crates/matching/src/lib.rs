@@ -37,5 +37,5 @@ mod types;
 pub use accuracy::{evaluate, MatchAccuracy};
 pub use candidates::{Candidate, CandidateIndex, ScoredCandidate};
 pub use path::{element_path, element_path_blind, element_path_budgeted, element_path_with};
-pub use scratch::{record_scratch_metrics, MatchScratch, PathCache};
+pub use scratch::{record_scratch_metrics, MatchScratch};
 pub use types::{MatchConfig, MatchedPoint, MatchedTrace};

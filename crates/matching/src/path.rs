@@ -10,7 +10,7 @@ use crate::types::MatchedPoint;
 
 /// Builds the travel-order element sequence from per-point matches using
 /// one-shot scratch space. Prefer [`element_path_with`] on hot paths — it
-/// reuses search arrays and memoises gap-fill routes across traces.
+/// reuses the A* search arrays across traces.
 pub fn element_path(graph: &RoadGraph, matched: &[MatchedPoint], gap_fill: bool) -> Vec<ElementId> {
     element_path_with(&mut MatchScratch::new(), graph, matched, gap_fill)
 }
@@ -19,9 +19,8 @@ pub fn element_path(graph: &RoadGraph, matched: &[MatchedPoint], gap_fill: bool)
 ///
 /// Consecutive matches on the same edge are walked along the edge's element
 /// chain; transitions between edges that share a junction need no filling;
-/// farther transitions are routed (goal-directed A*, memoised in
-/// `scratch.cache`) when `gap_fill` is on (otherwise the sequence simply
-/// jumps).
+/// farther transitions are routed (goal-directed A* over `scratch.search`)
+/// when `gap_fill` is on (otherwise the sequence simply jumps).
 pub fn element_path_with(
     scratch: &mut MatchScratch,
     graph: &RoadGraph,
@@ -35,9 +34,7 @@ pub fn element_path_with(
 /// gap-fill router. A budget-exhausted query degrades gracefully: the
 /// element sequence jumps the gap (same as `gap_fill = false` for that one
 /// transition), the fallback is counted in
-/// [`MatchScratch::gaps_budget_exhausted`], and — unlike found routes and
-/// genuinely unroutable pairs — the non-result is never cached, because it
-/// is a property of the budget, not of the graph.
+/// [`MatchScratch::gaps_budget_exhausted`].
 pub fn element_path_budgeted(
     scratch: &mut MatchScratch,
     graph: &RoadGraph,
@@ -46,27 +43,13 @@ pub fn element_path_budgeted(
     max_expansions: u64,
 ) -> Vec<ElementId> {
     element_path_inner(graph, matched, gap_fill, &mut |exit, entry| {
-        // Route across the gap. The memoised value is exactly what the A*
-        // query (itself bit-equal to the Dijkstra reference) would
-        // recompute, so the cache affects speed only.
-        let MatchScratch { search, cache, gaps_budget_exhausted, .. } = scratch;
+        let search = &mut scratch.search;
         let model = dijkstra::CostModel::Distance;
-        let key = (exit, entry, model);
-        if let Some(cached) = cache.lookup(&key) {
-            return cached;
-        }
         match dijkstra::astar_bounded(search, graph, exit, entry, model, max_expansions) {
-            dijkstra::SearchOutcome::Found(route) => {
-                let elements = route.element_ids(graph);
-                cache.insert(key, Some(elements.clone()));
-                Some(elements)
-            }
-            dijkstra::SearchOutcome::Unreachable => {
-                cache.insert(key, None);
-                None
-            }
+            dijkstra::SearchOutcome::Found(route) => Some(route.element_ids(graph)),
+            dijkstra::SearchOutcome::Unreachable => None,
             dijkstra::SearchOutcome::BudgetExhausted { .. } => {
-                *gaps_budget_exhausted += 1;
+                scratch.gaps_budget_exhausted += 1;
                 None
             }
         }
@@ -74,9 +57,9 @@ pub fn element_path_budgeted(
 }
 
 /// Pre-optimisation reference of [`element_path`]: blind Dijkstra per gap
-/// with per-query allocation and no memoisation. Kept as the behavioural
-/// reference [`crate::incremental::match_trace_reference`] runs on, which
-/// the matching bench compares against the optimised path.
+/// with per-query allocation. Kept as the behavioural reference
+/// [`crate::incremental::match_trace_reference`] runs on, which the
+/// matching bench compares against the optimised path.
 pub fn element_path_blind(
     graph: &RoadGraph,
     matched: &[MatchedPoint],
@@ -306,45 +289,21 @@ mod tests {
         assert!(element_path(&g, &[], true).is_empty());
     }
 
-    /// A disconnected far segment forces the gap-fill router; repeating
-    /// the trace through one scratch must serve the second pass from the
-    /// cache with an identical element sequence.
-    #[test]
-    fn gap_fill_cache_hit_yields_identical_sequence() {
-        let (g, _els) = setup();
-        // Stub 10 (west end) and stub 14 (east end) lie on edges that
-        // share no junction, so the transition needs a routed fill.
-        let matched = vec![mp(0, &g, 10, 25.0), mp(1, &g, 14, 25.0)];
-        let mut scratch = MatchScratch::new();
-        let cold = element_path_with(&mut scratch, &g, &matched, true);
-        let (h0, m0) = scratch.cache_stats();
-        let warm = element_path_with(&mut scratch, &g, &matched, true);
-        let (h1, m1) = scratch.cache_stats();
-        assert_eq!(cold, warm, "cache hit must reproduce the uncached path exactly");
-        assert_eq!(m1, m0, "second pass must not miss");
-        assert!(h1 > h0, "second pass must hit the cache");
-        // And both must equal the scratch-free (uncached) computation.
-        assert_eq!(cold, element_path(&g, &matched, true));
-    }
-
     /// A zero expansion budget forces the gap-fill fallback: the element
-    /// sequence jumps the gap, the fallback is counted, and nothing is
-    /// cached — so a later unbudgeted pass recomputes the real route.
+    /// sequence jumps the gap and the fallback is counted. Lifting the
+    /// budget on the same scratch routes the gap again.
     #[test]
-    fn exhausted_budget_falls_back_and_never_caches() {
+    fn exhausted_budget_falls_back_to_a_jump() {
         let (g, _els) = setup();
         let matched = vec![mp(0, &g, 10, 25.0), mp(1, &g, 14, 25.0)];
         let mut scratch = MatchScratch::new();
         let starved = element_path_budgeted(&mut scratch, &g, &matched, true, 0);
         assert_eq!(scratch.gaps_budget_exhausted, 1);
-        assert_eq!(scratch.cache.len(), 0, "budget exhaustion must not be memoised");
         // The fallback equals gap_fill = false for that transition.
         let unfilled = element_path(&g, &matched, false);
         assert_eq!(starved, unfilled);
-        // With the budget lifted, the same scratch now routes and caches.
         let full = element_path_budgeted(&mut scratch, &g, &matched, true, u64::MAX);
         assert_eq!(full, element_path(&g, &matched, true));
-        assert!(!scratch.cache.is_empty());
         assert_eq!(scratch.gaps_budget_exhausted, 1, "no new fallbacks");
     }
 

@@ -1,110 +1,12 @@
 //! Per-worker scratch for the matching hot path: a reusable A* search
-//! state and a bounded cache of gap-fill routes.
+//! state plus the audit counters the matcher accumulates with it.
 //!
 //! Gap filling issues a shortest-path query per non-adjacent edge
-//! transition. The same `(exit, entry)` junction pairs recur constantly
-//! across trips — transitions funnel through the same O-D corridors — so
-//! memoising the resulting element sequence converts most queries into a
-//! hash lookup. Because the cached value is exactly what the query would
-//! recompute (routing is a pure function of the graph), caching changes
-//! throughput only, never results.
+//! transition. Every query runs in full: no route is memoised across
+//! traces, so the work a trace costs (and every `match.*` counter) does
+//! not depend on which worker matched which trace before it.
 
-use std::collections::HashMap;
-
-use taxitrace_roadnet::dijkstra::CostModel;
-use taxitrace_roadnet::{ElementId, NodeId, SearchState};
-
-/// Cache key: a routing query's endpoints and cost model.
-pub type PathKey = (NodeId, NodeId, CostModel);
-
-/// Bounded memo of gap-fill routes, storing the element-id sequence (or
-/// `None` for unreachable pairs, which are worth remembering too).
-///
-/// Eviction is whole-cache clear on overflow: simple, deterministic, and
-/// effectively free at this workload's key cardinality (a few thousand
-/// junction pairs per study).
-#[derive(Debug, Clone)]
-pub struct PathCache {
-    map: HashMap<PathKey, Option<Vec<ElementId>>>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for PathCache {
-    fn default() -> Self {
-        Self::with_capacity(4096)
-    }
-}
-
-impl PathCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self { map: HashMap::new(), capacity: capacity.max(1), hits: 0, misses: 0 }
-    }
-
-    /// Cached element sequence for `key`, computing and memoising it with
-    /// `compute` on a miss. `None` means the pair is unroutable.
-    pub fn get_or_insert_with(
-        &mut self,
-        key: PathKey,
-        compute: impl FnOnce() -> Option<Vec<ElementId>>,
-    ) -> Option<&[ElementId]> {
-        if self.map.contains_key(&key) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            self.insert(key, compute());
-        }
-        // lint:allow(panic-free-library): inserted just above when absent
-        self.map.get(&key).expect("key just ensured").as_deref()
-    }
-
-    /// Cached value for `key` (hit), or `None` and a counted miss. Used by
-    /// budgeted gap fill, where a budget-exhausted query must *not* be
-    /// memoised — exhaustion is a property of the budget, not the graph —
-    /// so lookup and insert have to be separable.
-    pub fn lookup(&mut self, key: &PathKey) -> Option<Option<Vec<ElementId>>> {
-        match self.map.get(key) {
-            Some(value) => {
-                self.hits += 1;
-                Some(value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Memoises a *decided* routing result (found route or unroutable
-    /// pair), clearing the whole cache first on overflow.
-    pub fn insert(&mut self, key: PathKey, value: Option<Vec<ElementId>>) {
-        if self.map.len() >= self.capacity {
-            self.map.clear();
-        }
-        self.map.insert(key, value);
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
+use taxitrace_roadnet::SearchState;
 
 /// All mutable per-worker state a matcher thread holds across traces,
 /// plus the audit counters the matcher accumulates while using it.
@@ -112,8 +14,6 @@ impl PathCache {
 pub struct MatchScratch {
     /// Reusable A* arrays (generation-stamped; no per-query allocation).
     pub search: SearchState,
-    /// Memoised gap-fill routes.
-    pub cache: PathCache,
     /// Traces matched through this scratch.
     pub traces: u64,
     /// Candidates scored across all points of all traces.
@@ -132,93 +32,29 @@ impl MatchScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// `(hits, misses)` of the gap-fill cache so far.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
 }
 
 /// Publishes the combined counters of per-worker scratches as `match.*`
-/// metrics: trace/point/candidate volumes, gap-fill cache efficiency and
-/// A* search effort.
+/// metrics: trace/point/candidate volumes and A* search effort.
 pub fn record_scratch_metrics(scratches: &[MatchScratch], registry: &taxitrace_obs::Registry) {
     let mut traces = 0u64;
     let mut candidates = 0u64;
     let mut matched = 0u64;
     let mut unmatched = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
     let mut expanded = 0u64;
-    let mut entries = 0u64;
     let mut budget_exhausted = 0u64;
     for s in scratches {
         traces += s.traces;
         candidates += s.candidates_scored;
         matched += s.points_matched;
         unmatched += s.points_unmatched;
-        hits += s.cache.hits();
-        misses += s.cache.misses();
         expanded += s.search.expanded_total();
-        entries += s.cache.len() as u64;
         budget_exhausted += s.gaps_budget_exhausted;
     }
     registry.counter("match.traces").add(traces);
     registry.counter("match.candidates_scored").add(candidates);
     registry.counter("match.points_matched").add(matched);
     registry.counter("match.points_unmatched").add(unmatched);
-    registry.counter("match.cache_hits").add(hits);
-    registry.counter("match.cache_misses").add(misses);
     registry.counter("match.astar_expanded").add(expanded);
     registry.counter("match.gap_budget_exhausted").add(budget_exhausted);
-    registry.gauge("match.cache_entries").set(entries as f64);
-    registry
-        .gauge("match.cache_hit_rate")
-        .set(hits as f64 / (hits + misses).max(1) as f64);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn key(a: u32, b: u32) -> PathKey {
-        (NodeId(a), NodeId(b), CostModel::Distance)
-    }
-
-    #[test]
-    fn counts_hits_and_misses() {
-        let mut cache = PathCache::new();
-        let compute = || Some(vec![ElementId(7)]);
-        assert_eq!(cache.get_or_insert_with(key(1, 2), compute).unwrap(), &[ElementId(7)]);
-        assert_eq!(cache.get_or_insert_with(key(1, 2), || panic!("must hit")).unwrap(), &[
-            ElementId(7)
-        ]);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    fn caches_unroutable_pairs() {
-        let mut cache = PathCache::new();
-        assert!(cache.get_or_insert_with(key(3, 4), || None).is_none());
-        assert!(cache.get_or_insert_with(key(3, 4), || panic!("must hit")).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    fn clears_on_overflow_and_keeps_counting() {
-        let mut cache = PathCache::with_capacity(2);
-        cache.get_or_insert_with(key(1, 1), || None);
-        cache.get_or_insert_with(key(2, 2), || None);
-        assert_eq!(cache.len(), 2);
-        cache.get_or_insert_with(key(3, 3), || None);
-        assert_eq!(cache.len(), 1, "overflow clears before insert");
-        // Evicted key recomputes (a miss), not a stale hit.
-        let mut recomputed = false;
-        cache.get_or_insert_with(key(1, 1), || {
-            recomputed = true;
-            None
-        });
-        assert!(recomputed);
-        assert_eq!(cache.misses(), 4);
-    }
 }

@@ -27,7 +27,7 @@ pub struct MatchConfig {
     /// Node-expansion budget per gap-fill routing query. An exhausted
     /// budget falls back to a straight-line gap (the element sequence
     /// simply jumps) instead of searching unbounded; the fallback is
-    /// counted in `MatchScratch::gaps_budget_exhausted` and never cached.
+    /// counted in `MatchScratch::gaps_budget_exhausted`.
     /// The default is far above any query the Oulu-scale graph can pose,
     /// so it only trips under an explicit chaos/stress configuration.
     pub gap_fill_max_expansions: u64,

@@ -8,12 +8,12 @@ fn fixed_registry() -> Registry {
     let reg = Registry::new();
     reg.counter("clean.sessions").add(2549);
     reg.counter("clean.rule_fires.rule1").add(1021);
-    reg.counter("match.cache_hits").add(740);
-    reg.counter("match.cache_misses").add(212);
+    reg.counter("match.points_matched").add(740);
+    reg.counter("match.points_unmatched").add(212);
     reg.counter("exec.tasks").add(7496);
     reg.counter("exec.steals").add(12);
     reg.gauge("exec.workers").set(4.0);
-    reg.gauge("match.cache_hit_rate").set(0.7773);
+    reg.gauge("quarantine.fraction.match_fuse").set(0.7773);
     // Fault-tolerance families (schema v2).
     reg.counter("quarantine.total").add(17);
     reg.counter("quarantine.stage.clean").add(15);

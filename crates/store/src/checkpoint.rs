@@ -9,7 +9,7 @@
 //! which keeps resume byte-identical — the same encoder produces the same
 //! bytes whether a stage ran live or was reloaded.
 //!
-//! v2 layout, the only one written today (all integers little-endian):
+//! Layout, v2 (all integers little-endian):
 //!
 //! ```text
 //! magic            8 bytes  b"TTCK\x00\x00\x00\x02"
@@ -21,12 +21,11 @@
 //!   payload        u64 length + u32 CRC-32 + bytes
 //! ```
 //!
-//! v1 (`b"TTCK\x00\x00\x00\x01"`) is the same without the CRCs and is
-//! still accepted read-only. Unlike the trip store there is no salvage
-//! path: a checkpoint that fails validation is simply recomputed by the
-//! pipeline, so any damage is a typed [`StoreError::BadFormat`] (which
-//! resume already treats as "no checkpoint"). Writes are atomic *and
-//! fsynced* via [`crate::integrity::write_atomic`].
+//! Unlike the trip store there is no salvage path: a checkpoint that
+//! fails validation is simply recomputed by the pipeline, so any damage
+//! is a typed [`StoreError::BadFormat`] (which resume already treats as
+//! "no checkpoint"). Writes are atomic *and fsynced* via
+//! [`crate::integrity::write_atomic`].
 
 use std::path::Path;
 
@@ -36,9 +35,7 @@ use crate::codec::{put_str, take_str, take_u32, take_u64};
 use crate::integrity::{crc32, write_atomic};
 use crate::StoreError;
 
-/// Magic prefix of legacy v1 checkpoint files (read-only support).
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"TTCK\x00\x00\x00\x01";
-/// Magic prefix of v2 checkpoint files (the format written today).
+/// Magic prefix of v2 checkpoint files, the only checkpoint format.
 pub const CHECKPOINT_MAGIC_V2: [u8; 8] = *b"TTCK\x00\x00\x00\x02";
 
 /// A loaded checkpoint: the fingerprint it was written under plus its
@@ -49,8 +46,6 @@ pub struct CheckpointFile {
     /// Resume must refuse a checkpoint whose fingerprint does not match
     /// the current configuration.
     pub fingerprint: u64,
-    /// Container version the file was read from (1 or 2).
-    pub version: u32,
     sections: Vec<(String, Bytes)>,
 }
 
@@ -98,41 +93,35 @@ pub fn save_checkpoint(
     Ok(())
 }
 
-/// Reads and validates a checkpoint, accepting v1 and v2 containers.
+/// Reads and validates a v2 checkpoint.
 pub fn load_checkpoint(path: &Path) -> Result<CheckpointFile, StoreError> {
     let raw = std::fs::read(path)?;
     if raw.len() < 8 {
         return Err(StoreError::BadFormat("file too short for magic".into()));
     }
-    let version = match <[u8; 8]>::try_from(&raw[..8]) {
-        Ok(m) if m == CHECKPOINT_MAGIC_V2 => 2,
-        Ok(m) if m == CHECKPOINT_MAGIC => 1,
-        _ => return Err(StoreError::BadFormat("checkpoint magic mismatch".into())),
-    };
-    if version == 2 {
-        if raw.len() < 28 {
-            return Err(StoreError::BadFormat("file too short for v2 header".into()));
-        }
-        let stored = u32::from_le_bytes([raw[24], raw[25], raw[26], raw[27]]);
-        let actual = crc32(&raw[..24]);
-        if stored != actual {
-            return Err(StoreError::BadFormat(format!(
-                "checkpoint header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
-            )));
-        }
+    if raw[..8] != CHECKPOINT_MAGIC_V2 {
+        return Err(StoreError::BadFormat("checkpoint magic mismatch".into()));
+    }
+    if raw.len() < 28 {
+        return Err(StoreError::BadFormat("file too short for v2 header".into()));
+    }
+    let stored = u32::from_le_bytes([raw[24], raw[25], raw[26], raw[27]]);
+    let actual = crc32(&raw[..24]);
+    if stored != actual {
+        return Err(StoreError::BadFormat(format!(
+            "checkpoint header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+        )));
     }
     let mut b = Bytes::copy_from_slice(&raw);
     let _magic = b.split_to(8);
     let fingerprint = take_u64(&mut b)?;
     let count = take_u64(&mut b)? as usize;
-    if version == 2 {
-        let _header_crc = b.split_to(4); // verified above
-    }
+    let _header_crc = b.split_to(4); // verified above
     let mut sections = Vec::with_capacity(count.min(64));
     for _ in 0..count {
         let name = take_str(&mut b)?;
         let len = take_u64(&mut b)? as usize;
-        let stored_crc = if version == 2 { Some(take_u32(&mut b)?) } else { None };
+        let stored = take_u32(&mut b)?;
         if b.remaining() < len {
             return Err(StoreError::BadFormat(format!(
                 "truncated section {name:?}: wanted {len} bytes, had {}",
@@ -140,13 +129,11 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointFile, StoreError> {
             )));
         }
         let payload = b.split_to(len);
-        if let Some(stored) = stored_crc {
-            let actual = crc32(payload.as_ref());
-            if stored != actual {
-                return Err(StoreError::BadFormat(format!(
-                    "section {name:?} CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
-                )));
-            }
+        let actual = crc32(payload.as_ref());
+        if stored != actual {
+            return Err(StoreError::BadFormat(format!(
+                "section {name:?} CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+            )));
         }
         sections.push((name, payload));
     }
@@ -156,7 +143,7 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointFile, StoreError> {
             b.remaining()
         )));
     }
-    Ok(CheckpointFile { fingerprint, version, sections })
+    Ok(CheckpointFile { fingerprint, sections })
 }
 
 #[cfg(test)]
@@ -172,33 +159,10 @@ mod tests {
             .unwrap();
         let ck = load_checkpoint(&path).unwrap();
         assert_eq!(ck.fingerprint, 0xDEAD_BEEF);
-        assert_eq!(ck.version, 2);
         assert_eq!(ck.section("alpha").unwrap().as_ref(), b"abc");
         assert_eq!(ck.section("beta").unwrap().as_ref().len(), 9);
         assert!(ck.section("gamma").is_none());
         assert_eq!(ck.section_names().collect::<Vec<_>>(), ["alpha", "beta"]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_checkpoints_still_load() {
-        let dir = std::env::temp_dir().join("ttck-v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.ttck");
-        // Hand-write a v1 container: magic, fingerprint, count, sections
-        // without CRCs.
-        let mut out = BytesMut::new();
-        out.put_slice(&CHECKPOINT_MAGIC);
-        out.put_u64_le(42);
-        out.put_u64_le(1);
-        put_str(&mut out, "funnel").unwrap();
-        out.put_u64_le(3);
-        out.put_slice(b"abc");
-        std::fs::write(&path, &out).unwrap();
-        let ck = load_checkpoint(&path).unwrap();
-        assert_eq!(ck.fingerprint, 42);
-        assert_eq!(ck.version, 1);
-        assert_eq!(ck.section("funnel").unwrap().as_ref(), b"abc");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,10 @@
 //! Versioned binary file format for trip data.
 //!
-//! Three container versions exist. **v1** (`b"TTRS\x00\x00\x00\x01"`) is a
-//! magic, a session count, then each session length-prefixed — no
-//! checksums, accepted read-only for files written by older builds.
-//! **v2** (`b"TTRS\x00\x00\x00\x02"`) adds a self-describing header and
-//! per-record CRC framing. **v3** (`b"TTRS\x00\x00\x00\x03"`), the only
-//! format written today, keeps the v2 header and record framing unchanged
-//! and inserts an offset index between them:
+//! Two container versions are read. **v2** (`b"TTRS\x00\x00\x00\x02"`)
+//! is a self-describing header and per-record CRC framing. **v3**
+//! (`b"TTRS\x00\x00\x00\x03"`), the only format written today, keeps the
+//! v2 header and record framing unchanged and inserts an offset index
+//! between them:
 //!
 //! ```text
 //! magic         8 bytes  b"TTRS\x00\x00\x00\x03"
@@ -51,8 +49,6 @@ use taxitrace_traces::{
 use crate::integrity::{crc32, write_atomic};
 use crate::StoreError;
 
-/// Magic prefix of legacy v1 store files (read-only support).
-pub const MAGIC_V1: [u8; 8] = *b"TTRS\x00\x00\x00\x01";
 /// Magic prefix of pre-index v2 store files (read-only support).
 pub const MAGIC_V2: [u8; 8] = *b"TTRS\x00\x00\x00\x02";
 /// Magic prefix of v3 store files (the format written today).
@@ -64,8 +60,6 @@ const V2_HEADER_LEN: usize = 8 + 8 + 8 + 4;
 const V3_INDEX_CRC_LEN: usize = 4;
 /// v2 per-record frame: payload length + payload CRC.
 const V2_FRAME_LEN: usize = 8 + 4;
-/// v1 per-record frame: payload length only.
-const V1_FRAME_LEN: usize = 8;
 /// Cap on individually reported torn-tail records; a torn tail that loses
 /// more is summarised in the final damage entry so a corrupt header count
 /// cannot balloon the report.
@@ -117,9 +111,9 @@ pub struct RecordDamage {
 /// actually recovered, and every piece of damage encountered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SalvageReport {
-    /// Container version (1, 2 or 3; 0 when the magic was unrecognised).
+    /// Container version (2 or 3; 0 when the magic was unrecognised).
     pub version: u32,
-    /// Config fingerprint from the header (0 for v1 / untagged files).
+    /// Config fingerprint from the header (0 for untagged files).
     pub fingerprint: u64,
     /// Record count the header declares.
     pub records_declared: u64,
@@ -213,24 +207,6 @@ pub fn save_sessions_v2_tagged(
     Ok(())
 }
 
-/// Writes sessions in the legacy v1 layout (no checksums). Kept for
-/// compatibility fixtures and migration tests — new data should always go
-/// through [`save_sessions`]. Still published atomically.
-pub fn save_sessions_v1(path: &Path, sessions: &[RawTrip]) -> Result<(), StoreError> {
-    let mut out = BytesMut::new();
-    out.put_slice(&MAGIC_V1);
-    out.put_u64_le(checked_u64(sessions.len(), "session count")?);
-    let mut buf = BytesMut::new();
-    for s in sessions {
-        buf.clear();
-        encode_session(&mut buf, s)?;
-        out.put_u64_le(checked_u64(buf.len(), "session record length")?);
-        out.put_slice(&buf);
-    }
-    write_atomic(path, &out)?;
-    Ok(())
-}
-
 /// How [`load`] treats damage found in a container.
 ///
 /// The default (and [`LoadOptions::strict`]) fails on the first damaged
@@ -275,7 +251,7 @@ impl LoadOutcome {
     }
 }
 
-/// Reads sessions from `path`, accepting v1, v2 and v3 containers. The
+/// Reads sessions from `path`, accepting v2 and v3 containers. The
 /// single store read entry point: a clean v3 file is served through the offset-index fast path; older
 /// layouts and files with *any* verification failure go through the
 /// sequential salvage scan so damage is named precisely. With
@@ -354,12 +330,11 @@ pub fn record_spans(raw: &[u8]) -> Result<Vec<RecordSpan>, StoreError> {
     };
     let header = parse_header(raw, &mut report)
         .ok_or_else(|| StoreError::BadFormat("unreadable store header".into()))?;
-    let frame = if header.version >= 2 { V2_FRAME_LEN } else { V1_FRAME_LEN };
     let mut spans = Vec::new();
     let mut offset = header.body_start;
-    while raw.len() - offset >= frame {
+    while raw.len() - offset >= V2_FRAME_LEN {
         let len = read_u64_at(raw, offset);
-        let payload_at = offset + frame;
+        let payload_at = offset + V2_FRAME_LEN;
         let Some(end) = payload_end(payload_at, len, raw.len()) else { break };
         spans.push(RecordSpan { frame_start: offset, payload_start: payload_at, end });
         offset = end;
@@ -447,7 +422,7 @@ fn decode_record_at(raw: &Bytes, off: usize, index: u64) -> Result<(RawTrip, usi
 /// offset index and decodes payload slices borrowed from `raw` — no
 /// full-file scan, no per-payload copies. Strict: offsets must tile the
 /// body exactly through to the end of the file, and every record must
-/// verify. Returns `Ok(None)` for v1/v2 images (use the scan path) and
+/// verify. Returns `Ok(None)` for v2 images (use the scan path) and
 /// an error on any damage, so [`load_bytes`] can fall back to
 /// [`salvage_bytes`] for a typed report.
 fn indexed_load_bytes(raw: &Bytes) -> Result<Option<IndexedLoad>, StoreError> {
@@ -499,7 +474,6 @@ pub fn read_session_indexed(raw: &Bytes, i: usize) -> Result<Option<RawTrip>, St
 
 /// Parsed, verified container header.
 struct Header {
-    version: u32,
     declared: u64,
     body_start: usize,
 }
@@ -569,7 +543,7 @@ fn parse_header(raw: &[u8], report: &mut SalvageReport) -> Option<Header> {
                 ),
             });
         }
-        Some(Header { version: 3, declared: report.records_declared, body_start })
+        Some(Header { declared: report.records_declared, body_start })
     } else if magic == MAGIC_V2 {
         if raw.len() < V2_HEADER_LEN {
             report.version = 2;
@@ -593,19 +567,7 @@ fn parse_header(raw: &[u8], report: &mut SalvageReport) -> Option<Header> {
         }
         report.fingerprint = read_u64_at(raw, 8);
         report.records_declared = read_u64_at(raw, 16);
-        Some(Header { version: 2, declared: report.records_declared, body_start: V2_HEADER_LEN })
-    } else if magic == MAGIC_V1 {
-        report.version = 1;
-        if raw.len() < 16 {
-            report.damage.push(RecordDamage {
-                index: 0,
-                kind: DamageKind::HeaderMismatch,
-                detail: format!("file too short for v1 header ({} bytes)", raw.len()),
-            });
-            return None;
-        }
-        report.records_declared = read_u64_at(raw, 8);
-        Some(Header { version: 1, declared: report.records_declared, body_start: 16 })
+        Some(Header { declared: report.records_declared, body_start: V2_HEADER_LEN })
     } else {
         report.damage.push(RecordDamage {
             index: 0,
@@ -629,21 +591,18 @@ fn v3_body_start(declared: u64, file_len: usize) -> Option<usize> {
 /// record (its frame still delimits it) and stops only at a torn tail,
 /// where the frame itself can no longer be trusted.
 fn salvage_records(raw: &[u8], header: Header, report: &mut SalvageReport) -> Vec<RawTrip> {
-    let frame = if header.version >= 2 { V2_FRAME_LEN } else { V1_FRAME_LEN };
     let mut sessions = Vec::with_capacity(header.declared.min(1 << 20) as usize);
     let mut offset = header.body_start;
     let mut index: u64 = 0;
     let mut torn: Option<String> = None;
-    // v1 readers always ignored bytes past the declared count (there is
-    // no trailing-content check to preserve), so only v2+ reads on.
-    while offset < raw.len() && (header.version >= 2 || index < header.declared) {
+    while offset < raw.len() {
         let remaining = raw.len() - offset;
-        if remaining < frame {
-            torn = Some(format!("{remaining} bytes left, record frame needs {frame}"));
+        if remaining < V2_FRAME_LEN {
+            torn = Some(format!("{remaining} bytes left, record frame needs {V2_FRAME_LEN}"));
             break;
         }
         let len = read_u64_at(raw, offset);
-        let payload_at = offset + frame;
+        let payload_at = offset + V2_FRAME_LEN;
         let Some(end) = payload_end(payload_at, len, raw.len()) else {
             torn = Some(format!(
                 "record claims {len} bytes, only {} remain",
@@ -652,30 +611,28 @@ fn salvage_records(raw: &[u8], header: Header, report: &mut SalvageReport) -> Ve
             break;
         };
         let payload = &raw[payload_at..end];
-        if header.version >= 2 {
-            let stored = u32::from_le_bytes([
-                raw[offset + 8],
-                raw[offset + 9],
-                raw[offset + 10],
-                raw[offset + 11],
-            ]);
-            let actual = crc32(payload);
-            if stored != actual {
-                report.damage.push(RecordDamage {
-                    index,
-                    kind: DamageKind::CorruptRecord,
-                    detail: format!(
-                        "payload CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
-                    ),
-                });
-                offset = end;
-                index += 1;
-                continue;
-            }
+        let stored = u32::from_le_bytes([
+            raw[offset + 8],
+            raw[offset + 9],
+            raw[offset + 10],
+            raw[offset + 11],
+        ]);
+        let actual = crc32(payload);
+        if stored != actual {
+            report.damage.push(RecordDamage {
+                index,
+                kind: DamageKind::CorruptRecord,
+                detail: format!(
+                    "payload CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+                ),
+            });
+            offset = end;
+            index += 1;
+            continue;
         }
         let mut bytes = Bytes::copy_from_slice(payload);
         match decode_session(&mut bytes) {
-            Ok(s) if header.version == 1 || bytes.remaining() == 0 => sessions.push(s),
+            Ok(s) if bytes.remaining() == 0 => sessions.push(s),
             Ok(_) => report.damage.push(RecordDamage {
                 index,
                 kind: DamageKind::CorruptRecord,
@@ -698,9 +655,8 @@ fn salvage_records(raw: &[u8], header: Header, report: &mut SalvageReport) -> Ve
         // records is still a torn tail.
         push_torn_tail(report, index, header.declared, "file ends before declared count");
     } else if index > header.declared {
-        // v2-only by construction of the loop bound: the CRC-protected
-        // header disagrees with the body, which gained whole records
-        // (e.g. a duplicated record).
+        // The CRC-protected header disagrees with the body, which gained
+        // whole records (e.g. a duplicated record).
         report.damage.push(RecordDamage {
             index,
             kind: DamageKind::HeaderMismatch,
@@ -1172,19 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load() {
-        let path = tmp_path("legacy.tts");
-        let sessions = sample_sessions(4);
-        save_sessions_v1(&path, &sessions).unwrap();
-        assert_eq!(load(&path, &LoadOptions::strict()).unwrap().sessions, sessions);
-        let salvage = load(&path, &LoadOptions::salvage()).unwrap();
-        assert!(salvage.report.is_clean());
-        assert_eq!(salvage.report.version, 1);
-        assert_eq!(salvage.report.fingerprint, 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn fingerprint_round_trips() {
         let path = tmp_path("tagged.tts");
         save_sessions_tagged(&path, &sample_sessions(2), 0xFEED_F00D).unwrap();
@@ -1300,6 +1243,15 @@ mod tests {
         let salvage2 = salvage_bytes(&raw2);
         assert_eq!(salvage2.report.damage[0].kind, DamageKind::HeaderMismatch);
         assert!(salvage2.report.damage[0].detail.contains("header CRC"));
+        // The retired v1 magic (no checksums, nothing writes it) is an
+        // unknown container: typed header damage, not a panic.
+        let mut v1 = std::fs::read(&path).unwrap();
+        v1[..8].copy_from_slice(b"TTRS\x00\x00\x00\x01");
+        let salvage3 = salvage_bytes(&v1);
+        assert_eq!((salvage3.report.version, salvage3.report.records_valid), (0, 0));
+        assert_eq!(salvage3.report.damage.len(), 1);
+        assert_eq!(salvage3.report.damage[0].kind, DamageKind::HeaderMismatch);
+        assert!(load_bytes(&Bytes::from(v1), &LoadOptions::strict()).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1322,23 +1274,6 @@ mod tests {
         assert_eq!(salvage.report.damage[0].kind, DamageKind::HeaderMismatch);
         let ids: Vec<_> = salvage.sessions.iter().map(|s| s.id.0).collect();
         assert_eq!(ids, [100, 101, 101, 102]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_torn_tail_salvages_prefix() {
-        let path = tmp_path("torn-v1.tts");
-        let sessions = sample_sessions(4);
-        save_sessions_v1(&path, &sessions).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        let salvage = salvage_bytes(&raw[..raw.len() - 7]);
-        assert_eq!(salvage.report.version, 1);
-        assert_eq!(salvage.report.records_valid, 3);
-        assert!(salvage
-            .report
-            .damage
-            .iter()
-            .all(|d| d.kind == DamageKind::TornTail));
         std::fs::remove_file(&path).ok();
     }
 }

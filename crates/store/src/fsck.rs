@@ -5,7 +5,7 @@
 //! per-file integrity: version, fingerprint, records declared vs. valid,
 //! and every piece of damage the salvage reader found. With `repair`:
 //!
-//! * a damaged (or legacy v1) **store** is rewritten as a clean v3 file
+//! * a damaged **store** is rewritten as a clean v3 file
 //!   from its salvageable records, deduplicated by trip id, under the
 //!   same fingerprint — the atomic writer guarantees the original stays
 //!   intact if the rewrite dies (clean pre-index v2 files are left
@@ -46,7 +46,7 @@ pub struct FsckReport {
     pub path: PathBuf,
     /// Container family.
     pub kind: FileKind,
-    /// Container version (1, 2 or 3; 0 when the header was unreadable).
+    /// Container version (2 or 3; 0 when the header was unreadable).
     pub version: u32,
     /// Config fingerprint from the header (0 = untagged / unreadable).
     pub fingerprint: u64,
@@ -57,8 +57,8 @@ pub struct FsckReport {
     /// Damage found, in file order; empty means clean.
     pub damage: Vec<RecordDamage>,
     /// Repair action taken, when repair was requested and needed:
-    /// `"rewritten"` (store salvaged to clean v3), `"upgraded"` (clean v1
-    /// store rewritten as v3), or `"removed"` (unusable checkpoint).
+    /// `"rewritten"` (store salvaged to clean v3) or `"removed"`
+    /// (unusable checkpoint).
     pub repaired: Option<&'static str>,
 }
 
@@ -157,11 +157,10 @@ fn fsck_store(path: &Path, repair: bool) -> Result<FsckReport, StoreError> {
     };
     // An unreadable header (version 0 or a failed v2 header CRC) leaves
     // nothing trustworthy to rewrite from; repair only when the header
-    // parsed and there is either damage to shed or a v1 to upgrade.
+    // parsed and there is damage to shed.
     let header_usable = report.version != 0
         && !report.damage.iter().any(|d| d.kind == DamageKind::HeaderMismatch && d.index == 0);
-    let wants_repair = !report.is_clean() || report.version == 1;
-    if repair && header_usable && wants_repair {
+    if repair && header_usable && !report.is_clean() {
         let mut seen = BTreeSet::new();
         let unique: Vec<_> = salvage
             .sessions
@@ -169,7 +168,7 @@ fn fsck_store(path: &Path, repair: bool) -> Result<FsckReport, StoreError> {
             .filter(|s| seen.insert(s.id.0))
             .collect();
         save_sessions_tagged(path, &unique, report.fingerprint)?;
-        report.repaired = Some(if report.is_clean() { "upgraded" } else { "rewritten" });
+        report.repaired = Some("rewritten");
     }
     Ok(report)
 }
@@ -179,8 +178,7 @@ fn fsck_checkpoint(path: &Path, repair: bool) -> Result<FsckReport, StoreError> 
     // Best-effort header peek so even an unloadable file reports its
     // claimed version and fingerprint.
     let version = match raw.get(..8) {
-        Some(m) if m == crate::checkpoint::CHECKPOINT_MAGIC_V2 => 2,
-        Some(m) if m == crate::CHECKPOINT_MAGIC => 1,
+        Some(m) if m == crate::CHECKPOINT_MAGIC_V2 => 2,
         _ => 0,
     };
     let fingerprint = if version != 0 && raw.len() >= 16 {
@@ -202,7 +200,6 @@ fn fsck_checkpoint(path: &Path, repair: bool) -> Result<FsckReport, StoreError> 
     };
     match load_checkpoint(path) {
         Ok(ck) => {
-            report.version = ck.version;
             report.fingerprint = ck.fingerprint;
             report.records_declared = ck.section_count() as u64;
             report.records_valid = ck.section_count() as u64;
@@ -228,10 +225,7 @@ fn fsck_checkpoint(path: &Path, repair: bool) -> Result<FsckReport, StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{
-        record_spans, save_sessions, save_sessions_v1, save_sessions_v2_tagged,
-    };
-    use bytes::BufMut;
+    use crate::codec::{record_spans, save_sessions, save_sessions_v2_tagged};
     use taxitrace_geo::{GeoPoint, Point};
     use taxitrace_timebase::{Duration, Timestamp};
     use taxitrace_traces::{PointTruth, RawTrip, RoutePoint, TaxiId, TripId};
@@ -311,21 +305,6 @@ mod tests {
         assert_eq!(rescan[0].version, 3);
         assert_eq!(rescan[0].records_valid, 4);
         assert!(rescan[0].repaired.is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn repair_upgrades_clean_v1_stores() {
-        let dir = tmp_dir("upgrade");
-        let path = dir.join("legacy.tts");
-        let sessions: Vec<_> = (1..=2).map(session).collect();
-        save_sessions_v1(&path, &sessions).unwrap();
-        let fix = fsck_path(&path, true).unwrap();
-        assert_eq!(fix[0].version, 1);
-        assert_eq!(fix[0].repaired, Some("upgraded"));
-        let rescan = fsck_path(&path, false).unwrap();
-        assert_eq!(rescan[0].version, 3);
-        assert!(rescan[0].is_clean());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -429,22 +408,6 @@ mod tests {
         let reports = fsck_path(&dir, false).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].kind, FileKind::Store);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_checkpoint_reports_version() {
-        let dir = tmp_dir("ckv1");
-        let path = dir.join("old.ttck");
-        let mut out = bytes::BytesMut::new();
-        out.put_slice(&crate::CHECKPOINT_MAGIC);
-        out.put_u64_le(11);
-        out.put_u64_le(0);
-        std::fs::write(&path, &out).unwrap();
-        let reports = fsck_path(&path, false).unwrap();
-        assert!(reports[0].is_clean());
-        assert_eq!(reports[0].version, 1);
-        assert_eq!(reports[0].fingerprint, 11);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,7 +11,7 @@
 //!   route points;
 //! * [`Query`] — a small composable filter (taxi + time window + bbox);
 //! * [`codec`] — a versioned binary file format (checksummed v3 container
-//!   with an offset index for seek/zero-copy reads; v1 and pre-index v2
+//!   with an offset index for seek/zero-copy reads; pre-index v2
 //!   read-only) so a simulated year can be generated once and re-analysed
 //!   many times, with torn-write salvage instead of abort;
 //! * [`checkpoint`] — a named-section container with a config fingerprint
@@ -30,10 +30,7 @@ pub mod integrity;
 mod query;
 mod store;
 
-pub use checkpoint::{
-    load_checkpoint, save_checkpoint, CheckpointFile, CHECKPOINT_MAGIC,
-    CHECKPOINT_MAGIC_V2,
-};
+pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointFile, CHECKPOINT_MAGIC_V2};
 pub use codec::{DamageKind, LoadOptions, LoadOutcome, RecordDamage, Salvage, SalvageReport};
 pub use fsck::{fsck_path, FileKind, FsckReport};
 pub use query::{Query, QueryError};

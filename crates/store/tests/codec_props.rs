@@ -2,10 +2,9 @@
 //!
 //! The properties: an *arbitrary* session population — empty trips,
 //! extreme-but-finite coordinates, hostile strings — survives
-//! encode → decode bit-identically through both the v3 and the legacy v1
-//! container, writing the same population twice produces the same bytes,
-//! and the v3 offset-index seek reader returns exactly what the sequential
-//! scan returns. Sessions carrying non-finite floats are rejected at
+//! encode → decode bit-identically through the v3 container, writing the
+//! same population twice produces the same bytes, and the v3 offset-index
+//! seek reader returns exactly what the sequential scan returns. Sessions carrying non-finite floats are rejected at
 //! encode time with a typed error instead of poisoning a file.
 //!
 //! The vendored proptest shim has no `Arbitrary` derive, so each case
@@ -27,7 +26,7 @@ use taxitrace_roadnet::{ElementId, NodeId};
 use bytes::Bytes;
 use taxitrace_store::codec::{
     load, load_bytes, read_session_indexed, record_spans, salvage_bytes, save_sessions_tagged,
-    save_sessions_v1, save_sessions_v2_tagged,
+    save_sessions_v2_tagged,
 };
 use taxitrace_store::{DamageKind, LoadOptions, StoreError};
 use taxitrace_timebase::{Duration, Timestamp};
@@ -189,20 +188,6 @@ proptest! {
             prop_assert_eq!(&one, &sessions[i]);
         }
         prop_assert!(read_session_indexed(&raw, sessions.len()).expect("seek").is_none());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn v1_files_round_trip(seed in 0u64..u64::MAX) {
-        let sessions = gen_sessions(seed);
-        let path = scratch_file("v1");
-        save_sessions_v1(&path, &sessions).expect("save v1");
-        let loaded = load(&path, &LoadOptions::strict()).expect("v1 load").sessions;
-        prop_assert_eq!(&loaded, &sessions);
-        let salvage = load(&path, &LoadOptions::salvage()).expect("v1 salvage");
-        prop_assert!(salvage.report.is_clean());
-        prop_assert_eq!(salvage.report.version, 1);
-        prop_assert_eq!(&salvage.sessions, &sessions);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -90,7 +90,7 @@ else
 fi
 
 # Metrics surface: a small run must emit schema-versioned JSON covering
-# every pipeline stage, the executor and the gap-fill cache — and leave
+# every pipeline stage, the executor and gap-fill routing — and leave
 # stdout untouched.
 out=$(mktemp)
 metrics=$(mktemp)
@@ -110,8 +110,7 @@ for key in ("counters", "gauges", "histograms", "spans"):
 counters = m["counters"]
 for prefix in ("sim.", "clean.", "od.", "match.", "exec."):
     assert any(k.startswith(prefix) for k in counters), f"no {prefix}* counters"
-for k in ("match.cache_hits", "match.cache_misses", "match.astar_expanded",
-          "exec.shard_units"):
+for k in ("match.astar_expanded", "exec.shard_units"):
     assert k in counters, f"missing counter {k!r}"
 assert counters["exec.shard_units"] > 0, "simulation reported zero shard units"
 paths = {s["path"] for s in m["spans"]}
@@ -247,13 +246,14 @@ rm -rf "$storedir" "$metrics" "$plan"
 # at a small scale and at the full study year, where it must also equal
 # the pinned value of the committed baseline. Each run's `exec.workers`
 # gauge must show the requested pool, so an ignored --threads cannot pass
-# as invariance.
-fpmetrics=$(mktemp)
+# as invariance, and every counter outside `exec.*` (work, not
+# scheduling) must equal the 1-worker run's.
+fpdir=$(mktemp -d)
 study_fp() {
     ./target/release/repro --scale "$1" --threads "$2" --metrics json \
-        --metrics-out "$fpmetrics" fingerprint 2>/dev/null \
+        --metrics-out "$fpdir/$1-$2.json" fingerprint 2>/dev/null \
         | sed -n 's/^study fingerprint \(0x[0-9a-f]*\)$/\1/p'
-    python3 - "$fpmetrics" "$2" >&2 <<'EOF'
+    python3 - "$fpdir/$1-$2.json" "$2" >&2 <<'EOF'
 import json, sys
 
 workers = json.load(open(sys.argv[1]))["gauges"].get("exec.workers")
@@ -265,16 +265,31 @@ fp_small=$(study_fp 0.05 1)
 fp_small4=$(study_fp 0.05 4)
 fp_full=$(study_fp 1.0 1)
 fp_full4=$(study_fp 1.0 4)
-rm -f "$fpmetrics"
 same_fp() {
     [ -n "$2" ] && [ "$2" = "$3" ] || {
         echo "verify: scale $1 study fingerprint differs across workers: '$2' vs '$3'" >&2
         exit 1
     }
-    echo "thread-invariance OK: scale $1 fingerprint $2 at 1 and 4 workers"
+    python3 - "$fpdir/$1-1.json" "$fpdir/$1-4.json" <<'EOF' || {
+import json, sys
+
+def work(path):
+    counters = json.load(open(path))["counters"]
+    return {k: v for k, v in counters.items() if not k.startswith("exec.")}
+
+a, b = work(sys.argv[1]), work(sys.argv[2])
+diff = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+assert not diff, "counters differ across workers: " + ", ".join(
+    f"{k} {a.get(k)} vs {b.get(k)}" for k in diff)
+EOF
+        echo "verify: scale $1 work counters differ between 1 and 4 workers" >&2
+        exit 1
+    }
+    echo "thread-invariance OK: scale $1 fingerprint $2 and work counters at 1 and 4 workers"
 }
 same_fp 0.05 "$fp_small" "$fp_small4"
 same_fp 1.0 "$fp_full" "$fp_full4"
+rm -rf "$fpdir"
 [ "$fp_full" = "0xf2d392b82926b399" ] || {
     echo "verify: full-scale study fingerprint $fp_full != pinned 0xf2d392b82926b399" >&2
     exit 1

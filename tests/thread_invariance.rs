@@ -3,7 +3,12 @@
 //! stream per (taxi, day) work unit and the executors merge results in
 //! submission order, so `--threads 1/2/8` must produce bit-identical
 //! output — including on a single-core host, where 8 workers means
-//! deliberate oversubscription (the override is taken literally).
+//! deliberate oversubscription (the override is taken literally). The
+//! same holds for the work the pipeline reports: every metrics counter
+//! outside `exec.*` (the scheduler's own steals, idle time and task
+//! spread) counts work, not scheduling, and must not move either.
+
+use std::collections::BTreeMap;
 
 use taxi_traces::core::{Study, StudyConfig, StudyOutput};
 
@@ -23,6 +28,13 @@ fn assert_identical(a: &StudyOutput, b: &StudyOutput, workers: usize) {
     assert_eq!(a.segments, b.segments, "segments at {workers} workers");
     assert_eq!(a.funnel_rows, b.funnel_rows, "funnel at {workers} workers");
     assert_eq!(a.transitions, b.transitions, "transitions at {workers} workers");
+    assert_eq!(work_counters(a), work_counters(b), "work counters at {workers} workers");
+}
+
+/// Every metrics counter except the executor's `exec.*` family.
+fn work_counters(out: &StudyOutput) -> BTreeMap<&str, u64> {
+    let counters = out.metrics.counters.iter().map(|(k, v)| (k.as_str(), *v));
+    counters.filter(|(k, _)| !k.starts_with("exec.")).collect()
 }
 
 #[test]
