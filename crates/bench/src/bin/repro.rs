@@ -61,8 +61,8 @@ use std::sync::OnceLock;
 use taxitrace_cleaning::{clean_session, validate_segments, CleaningConfig, SegmentationConfig};
 use taxitrace_core::{
     directional_speeds, mixed_model, render_table1, render_table3, render_table4,
-    render_table5, seasonal_deltas, seasonal_speeds, temperature_analysis, Study, StudyConfig,
-    StudyOutput, Table4,
+    render_table5, seasonal_deltas, seasonal_speeds, temperature_analysis, Source, Study,
+    StudyConfig, StudyOutput, Table4,
 };
 use taxitrace_geo::{CellId, Corridor, Grid, Point};
 use taxitrace_matching::{evaluate, CandidateIndex, MatchAccuracy, MatchConfig};
@@ -287,34 +287,29 @@ fn study_config(args: &Args) -> StudyConfig {
 /// is resumed from the last completed stage, a bounded number of times.
 fn run_study(args: &Args) -> StudyOutput {
     let study = Study::new(study_config(args));
-    if let Some(csv) = &args.from_csv {
+    let source = if let Some(csv) = &args.from_csv {
         if args.store.is_some() || args.checkpoint_dir.is_some() {
             die("--from-csv cannot be combined with --store or --checkpoint-dir");
         }
-        return study
-            .run_from_external(
-                std::path::Path::new(csv),
-                args.map.as_deref().map(std::path::Path::new),
-            )
-            .unwrap_or_else(|e| die_study(e));
-    }
-    if let Some(store) = &args.store {
+        Source::External {
+            traces: std::path::Path::new(csv),
+            map: args.map.as_deref().map(std::path::Path::new),
+        }
+    } else if let Some(store) = &args.store {
         if args.checkpoint_dir.is_some() {
             die("--store and --checkpoint-dir cannot be combined");
         }
-        return study
-            .run_from_store(std::path::Path::new(store))
-            .unwrap_or_else(|e| die_study(e));
-    }
+        Source::Store(std::path::Path::new(store))
+    } else {
+        Source::Simulate
+    };
     let Some(dir) = &args.checkpoint_dir else {
-        return study.run().unwrap_or_else(|e| die_study(e));
+        return study.run_from(source).unwrap_or_else(|e| die_study(e));
     };
     let dir = std::path::Path::new(dir);
     let mut attempt = 0u32;
     loop {
-        let result =
-            if attempt == 0 { study.run_with_checkpoints(dir) } else { study.resume(dir) };
-        match result {
+        match study.run_with_checkpoints(dir) {
             Ok(out) => return out,
             Err(e) if attempt < 4 => {
                 attempt += 1;
@@ -450,7 +445,7 @@ fn study_fingerprint(out: &StudyOutput) -> u64 {
 // --------------------------------------------- storage maintenance tools
 
 /// `repro store-save <file>`: simulate stage 1 under the current
-/// seed/scale/chaos flags and persist the sessions as a v2 trip store,
+/// seed/scale/chaos flags and persist the sessions as a v3 trip store,
 /// fingerprinted so `--store` replays refuse a mismatched config.
 fn cmd_store_save(args: &Args) {
     let path = args.operand("store-save needs a target path").to_string();
@@ -518,10 +513,10 @@ fn cmd_ingest(args: &Args) {
     );
     let study = Study::new(study_config(args));
     let out = study
-        .run_from_external(
-            std::path::Path::new(&trace),
-            args.map.as_deref().map(std::path::Path::new),
-        )
+        .run_from(Source::External {
+            traces: std::path::Path::new(&trace),
+            map: args.map.as_deref().map(std::path::Path::new),
+        })
         .unwrap_or_else(|e| die_study(e));
     let records = out.metrics.counter("ingest.records_total").unwrap_or(0);
     let quarantined = out.metrics.counter("ingest.quarantined_total").unwrap_or(0);

@@ -3,12 +3,12 @@
 //! Each typed stage persists a deterministic snapshot of its data products
 //! into a [`taxitrace_store::checkpoint`] container, keyed by a fingerprint
 //! of the full [`StudyConfig`]. [`Study::run_with_checkpoints`] skips every
-//! stage whose checkpoint exists under the current fingerprint, and
-//! [`Study::resume`] is the same operation by its recovery name: a run
-//! killed mid-pipeline restarts from the last completed stage boundary and
-//! produces byte-identical results — stage payloads are encoded with the
-//! same wire primitives whether a stage ran live or was reloaded, and the
-//! remaining stages are pure functions of those payloads.
+//! stage whose checkpoint exists under the current fingerprint, so calling
+//! it again after a run was killed mid-pipeline restarts from the last
+//! completed stage boundary and produces byte-identical results — stage
+//! payloads are encoded with the same wire primitives whether a stage ran
+//! live or was reloaded, and the remaining stages are pure functions of
+//! those payloads.
 //!
 //! What is checkpointed is deliberately minimal: only *data products*
 //! (sessions, segments, totals, funnel rows, transitions, the quarantine
@@ -27,15 +27,13 @@ use taxitrace_store::codec::{
     checked_taxi, decode_point, decode_session, encode_point, encode_session, put_str,
     take_i64, take_str, take_u32, take_u64, take_u8,
 };
-use taxitrace_store::{
-    load_checkpoint, save_checkpoint, CheckpointFile, StoreError, TripStore,
-};
+use taxitrace_store::{load_checkpoint, save_checkpoint, CheckpointFile, StoreError};
 use taxitrace_timebase::Timestamp;
 use taxitrace_traces::{FaultPlan, RawTrip, TaxiId, TripId};
 
 use crate::config::StudyConfig;
 use crate::error::Error;
-use crate::experiment::{weather_for, Cleaned, Obs, OdSelected, Simulated, Study};
+use crate::experiment::{synth_city, Cleaned, Loaded, OdSelected, Simulated, Study};
 use crate::quarantine::{Quarantine, QuarantineEntry, QuarantineReason};
 
 /// FNV-1a fingerprint of the full study configuration (including the fault
@@ -54,15 +52,9 @@ impl Study {
     /// Runs the pipeline with stage checkpoints under `dir`: every stage
     /// whose checkpoint exists (under the current config fingerprint) is
     /// loaded instead of recomputed, and every freshly executed stage is
-    /// checkpointed before the next one starts.
+    /// checkpointed before the next one starts. Calling it again after an
+    /// interrupted run resumes from the last completed stage boundary.
     pub fn run_with_checkpoints(&self, dir: &Path) -> Result<crate::StudyOutput, Error> {
-        run_checkpointed(self, dir)
-    }
-
-    /// Resumes a checkpointed run from the last completed stage boundary.
-    /// Identical to [`Study::run_with_checkpoints`]; the separate name
-    /// marks the recovery path in calling code.
-    pub fn resume(&self, dir: &Path) -> Result<crate::StudyOutput, Error> {
         run_checkpointed(self, dir)
     }
 }
@@ -80,7 +72,7 @@ fn run_checkpointed(study: &Study, dir: &Path) -> Result<crate::StudyOutput, Err
 
     let sim_path = dir.join("simulate.ttck");
     let sim = match try_load(&sim_path, fingerprint)? {
-        Some(ck) => load_simulated(config, &ck)?,
+        Some(ck) => load_simulated(study, &ck)?,
         None => {
             let sim = study.simulate()?;
             let sessions = encode_sessions(sim.store.sessions())?;
@@ -203,34 +195,21 @@ fn section(ck: &CheckpointFile, stage: &str, name: &str) -> Result<Bytes, Error>
     })
 }
 
-fn load_simulated(config: &StudyConfig, ck: &CheckpointFile) -> Result<Simulated, Error> {
-    let config = config.clone();
-    let obs = Obs::new();
-    let mut span = obs.registry.span("study/simulate");
-    let city = {
-        let _s = obs.registry.span("study/simulate/city");
-        taxitrace_roadnet::synth::generate(&config.city)
-    };
-    let weather = weather_for(&config);
-    let sessions = decode_sessions(&mut section(ck, "simulate", "sessions")?)?;
-    obs.registry.counter("sim.sessions").add(sessions.len() as u64);
-    let raw_points: usize = sessions.iter().map(|s| s.points.len()).sum();
-    obs.registry.counter("sim.raw_points").add(raw_points as u64);
-    // Chaos fault counters describe the checkpointed *data* (how many
-    // sessions were injected with which fault), so a resumed run must
-    // report them even though it never ran the injection itself.
-    for (name, value) in decode_chaos_counters(&mut section(ck, "simulate", "chaos_metrics")?)? {
-        obs.registry.counter(&name).add(value);
-    }
-    let mut store = TripStore::new();
-    {
-        let _s = obs.registry.span("study/simulate/persist");
-        store.insert_all(sessions)?;
-    }
-    span.set_items(store.sessions().len() as u64);
-    span.finish();
-    let metrics = obs.registry.snapshot();
-    Ok(Simulated { config, city, weather, store, quarantine: Quarantine::default(), metrics, obs })
+/// Stage 1 from a `simulate` checkpoint, through the same scaffolding as
+/// every other source: the city is regenerated, the sessions are decoded.
+fn load_simulated(study: &Study, ck: &CheckpointFile) -> Result<Simulated, Error> {
+    study.load_with(|config, registry| {
+        let city = synth_city(config, registry);
+        let sessions = decode_sessions(&mut section(ck, "simulate", "sessions")?)?;
+        // Chaos fault counters describe the checkpointed *data* (how many
+        // sessions were injected with which fault), so a resumed run must
+        // report them even though it never ran the injection itself.
+        let chaos = decode_chaos_counters(&mut section(ck, "simulate", "chaos_metrics")?)?;
+        for (name, value) in chaos {
+            registry.counter(&name).add(value);
+        }
+        Ok(Loaded { city, sessions, losses: None })
+    })
 }
 
 fn load_cleaned(sim: Simulated, ck: &CheckpointFile) -> Result<Cleaned, Error> {

@@ -4,10 +4,13 @@
 //! stage is also a first-class API step with a typed output:
 //!
 //! ```text
-//! Study ─simulate()→ Simulated ─clean()→ Cleaned ─analyze_od()→ OdSelected
-//!                                                        │
-//!                                         match_fuse() ──┴─→ StudyOutput
+//! Study ─load(source)→ Simulated ─clean()→ Cleaned ─analyze_od()→ OdSelected
+//!                                                          │
+//!                                           match_fuse() ──┴─→ StudyOutput
 //! ```
+//!
+//! `simulate()` is `load(Source::Simulate)`, and `run_from(source)` is the
+//! whole chain.
 //!
 //! Every stage output carries a [`MetricsSnapshot`] of the observability
 //! registry at that point, so callers can inspect counters and spans after
@@ -21,7 +24,7 @@ use taxitrace_cleaning::{
 };
 use taxitrace_exec::{ExecMeter, FailurePolicy, TaskError, TaskPolicy};
 use taxitrace_matching::{incremental, CandidateIndex, MatchConfig, MatchScratch};
-use taxitrace_obs::{MetricsSnapshot, Registry};
+use taxitrace_obs::{MetricsSnapshot, Registry, Span};
 use taxitrace_od::{FunnelRow, OdAnalyzer, Transition};
 use taxitrace_roadnet::synth::SyntheticCity;
 use taxitrace_store::TripStore;
@@ -50,9 +53,8 @@ impl Obs {
 }
 
 /// The weather model is a pure function of the study seed; regenerated on
-/// resume rather than checkpointed. Public so the streaming ingest can
-/// rebuild the identical model for its per-closed-trip fuse.
-pub fn weather_for(config: &StudyConfig) -> WeatherModel {
+/// resume rather than checkpointed.
+fn weather_for(config: &StudyConfig) -> WeatherModel {
     WeatherModel::new(config.seed ^ 0x57EA_7E7A)
 }
 
@@ -90,14 +92,12 @@ fn apply_chaos_trace_faults(
 /// `(error_budget, max_task_attempts)`. Public so the streaming ingest
 /// enforces the same budget and reproduces the batch retry accounting.
 pub fn resolved_fault_policy(config: &StudyConfig) -> (f64, u32) {
-    let chaos = config.chaos.as_ref();
-    let budget = chaos
-        .and_then(|p| p.error_budget)
-        .unwrap_or(config.fault.error_budget);
-    let attempts = chaos
+    let attempts = config
+        .chaos
+        .as_ref()
         .and_then(|p| p.max_task_attempts)
         .unwrap_or(config.fault.max_task_attempts);
-    (budget, attempts)
+    (budget_or(config, config.fault.error_budget), attempts)
 }
 
 /// A configured study, ready to run (whole or stage by stage).
@@ -114,8 +114,8 @@ pub struct Simulated {
     pub weather: WeatherModel,
     pub store: TripStore,
     /// Dead-letter ledger seeded by this stage. Empty for a live
-    /// simulation; [`Study::simulate_from_store`] fills it with one entry
-    /// per on-disk record lost to corruption.
+    /// simulation; a [`Source::Store`] or [`Source::External`] source
+    /// fills it with one entry per record lost to damage.
     pub quarantine: Quarantine,
     /// Registry snapshot taken at the end of this stage.
     pub metrics: MetricsSnapshot,
@@ -187,26 +187,38 @@ impl Study {
         Self { config }
     }
 
-    /// Stage 1: validate the config, generate the city and weather,
-    /// simulate the fleet and persist every session into the store.
+    /// Stage 1 from the simulator: generate the city and weather, simulate
+    /// the fleet and persist every session into the store.
     pub fn simulate(&self) -> Result<Simulated, Error> {
+        self.load(Source::Simulate)
+    }
+
+    /// Stage 1 from any [`Source`]: validate the config, take the fleet's
+    /// sessions (and the city) from the source, and persist the sessions
+    /// into the store.
+    pub fn load(&self, source: Source<'_>) -> Result<Simulated, Error> {
+        self.load_with(|config, registry| match source {
+            Source::Simulate => simulate_fleet(config, registry),
+            Source::Store(path) => replay_store(config, registry, path),
+            Source::External { traces, map } => ingest_external(config, registry, traces, map),
+        })
+    }
+
+    /// The stage-1 scaffolding every way in shares: config validation,
+    /// the `study/simulate` span, the `sim.*` counters, persisting into the
+    /// store, and the source's ledger metrics and error budget. `produce`
+    /// supplies the city and sessions (and opens its own child spans).
+    pub(crate) fn load_with(
+        &self,
+        produce: impl FnOnce(&StudyConfig, &Registry) -> Result<Loaded, Error>,
+    ) -> Result<Simulated, Error> {
         let config = self.config.clone();
         config.validate()?;
         let obs = Obs::new();
 
         let mut span = obs.registry.span("study/simulate");
-        let city = {
-            let _s = obs.registry.span("study/simulate/city");
-            taxitrace_roadnet::synth::generate(&config.city)
-        };
+        let Loaded { city, sessions, losses } = produce(&config, &obs.registry)?;
         let weather = weather_for(&config);
-        let fleet = {
-            let _s = obs.registry.span("study/simulate/fleet");
-            taxitrace_traces::simulate_fleet(&city, &weather, &config.fleet)
-        };
-        obs.registry.counter("exec.shard_units").add(fleet.shard_count as u64);
-        let mut sessions = fleet.sessions;
-        apply_chaos_trace_faults(&config, &mut sessions, &obs.registry);
         obs.registry.counter("sim.sessions").add(sessions.len() as u64);
         let raw_points: usize = sessions.iter().map(|s| s.points.len()).sum();
         obs.registry.counter("sim.raw_points").add(raw_points as u64);
@@ -216,244 +228,14 @@ impl Study {
             let _s = obs.registry.span("study/simulate/persist");
             store.insert_all(sessions)?;
         }
-        span.set_items(store.sessions().len() as u64);
-        span.finish();
-
-        let metrics = obs.registry.snapshot();
-        Ok(Simulated {
-            config,
-            city,
-            weather,
-            store,
-            quarantine: Quarantine::default(),
-            metrics,
-            obs,
-        })
-    }
-
-    /// Stage 1, replay variant: load the fleet's sessions from a trip
-    /// store file instead of simulating them.
-    ///
-    /// The file is read through the salvage path: every verifiable record
-    /// survives, while damaged ones (CRC failures, a torn tail, a header
-    /// that disagrees with the body, duplicated records) are quarantined
-    /// at the `store` stage with typed reasons and counted against
-    /// [`crate::FaultConfig::store_error_budget`]. A store written under a
-    /// different config fingerprint is refused outright — replaying it
-    /// would silently produce results the config cannot explain.
-    pub fn simulate_from_store(&self, path: &Path) -> Result<Simulated, Error> {
-        let config = self.config.clone();
-        config.validate()?;
-        let obs = Obs::new();
-
-        let mut span = obs.registry.span("study/simulate");
-        let city = {
-            let _s = obs.registry.span("study/simulate/city");
-            taxitrace_roadnet::synth::generate(&config.city)
-        };
-        let weather = weather_for(&config);
-        let loaded = {
-            let _s = obs.registry.span("study/simulate/load_store");
-            taxitrace_store::codec::load(path, &taxitrace_store::LoadOptions::salvage())?
-        };
-        if loaded.indexed {
-            obs.registry.counter("store.indexed_reads").add(1);
-        }
-        let report = loaded.report;
-        let expected = crate::checkpoint::config_fingerprint(&config);
-        if report.fingerprint != 0 && report.fingerprint != expected {
-            return Err(Error::Store(taxitrace_store::StoreError::BadFormat(format!(
-                "store {} was written under config fingerprint {:#018x}, expected {:#018x}",
-                path.display(),
-                report.fingerprint,
-                expected
-            ))));
-        }
-
-        let mut quarantine = Quarantine::default();
-        for damage in &report.damage {
-            quarantine.push(QuarantineEntry {
-                stage: "store".into(),
-                record: damage.index,
-                reason: damage.kind.into(),
-                detail: damage.detail.clone(),
-            });
-        }
-
-        let mut store = TripStore::new();
-        {
-            let _s = obs.registry.span("study/simulate/persist");
-            let mut seen = std::collections::BTreeSet::new();
-            for session in loaded.sessions {
-                if !seen.insert(session.id.0) {
-                    // A duplicated on-disk frame decodes fine but would
-                    // poison the store; quarantine the extra occurrence.
-                    quarantine.push(QuarantineEntry {
-                        stage: "store".into(),
-                        record: session.id.0,
-                        reason: QuarantineReason::CorruptRecord,
-                        detail: format!(
-                            "duplicate on-disk record for trip {}",
-                            session.id.0
-                        ),
-                    });
-                    continue;
-                }
-                store.insert(session)?;
-            }
-        }
-
-        let total = report.records_valid as usize + report.damage.len();
-        obs.registry.counter("store.records_total").add(total as u64);
-        obs.registry
-            .counter("store.records_valid")
-            .add(store.sessions().len() as u64);
-        if !quarantine.is_empty() {
-            obs.registry
-                .counter("store.corrupt_records")
-                .add(quarantine.len() as u64);
-            let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-            for entry in quarantine.entries() {
-                *by_kind.entry(entry.reason.label()).or_insert(0) += 1;
-            }
-            for (label, n) in by_kind {
-                obs.registry.counter(&format!("store.damaged.{label}")).add(n);
-            }
-        }
-        obs.registry.counter("sim.sessions").add(store.sessions().len() as u64);
-        let raw_points: usize =
-            store.sessions().iter().map(|s| s.points.len()).sum();
-        obs.registry.counter("sim.raw_points").add(raw_points as u64);
-
-        quarantine.record_stage_metrics(&obs.registry, "store", total);
-        let store_budget = config
-            .chaos
-            .as_ref()
-            .and_then(|p| p.error_budget)
-            .unwrap_or(config.fault.store_error_budget);
-        check_budget("store", quarantine.len(), total, store_budget)?;
-        span.set_items(store.sessions().len() as u64);
-        span.finish();
-
-        let metrics = obs.registry.snapshot();
-        Ok(Simulated { config, city, weather, store, quarantine, metrics, obs })
-    }
-
-    /// Stage 1, untrusted-input variant: ingest the fleet's sessions from
-    /// an external trace file (and optionally the city from an external
-    /// map file) instead of simulating them.
-    ///
-    /// The files cross the pipeline's trust boundary: they may contain
-    /// arbitrary bytes. Parsing is record-framed and panic-free — every
-    /// malformed line, out-of-domain field, duplicate trip claim, or
-    /// dangling map reference is quarantined at the `ingest` stage with a
-    /// typed reason and counted against
-    /// [`crate::FaultConfig::ingest_error_budget`], so a damaged file
-    /// degrades record-by-record exactly like a damaged store file in the
-    /// salvage path. Only file-level failures (unreadable header, a map
-    /// with no usable ways) are fatal, as [`Error::Ingest`].
-    ///
-    /// Without `map_path`, the synthetic city of the config is used — so
-    /// an export → ingest round trip of the traces alone reproduces the
-    /// batch study byte-for-byte.
-    pub fn simulate_from_external(
-        &self,
-        trace_path: &Path,
-        map_path: Option<&Path>,
-    ) -> Result<Simulated, Error> {
-        let config = self.config.clone();
-        config.validate()?;
-        let obs = Obs::new();
-
-        let read = |path: &Path| -> Result<Vec<u8>, Error> {
-            std::fs::read(path).map_err(|source| {
-                Error::Ingest(taxitrace_ingest::IngestError::Io {
-                    path: path.display().to_string(),
-                    source,
-                })
-            })
-        };
-
-        let mut span = obs.registry.span("study/simulate");
-        let mut quarantine = Quarantine::default();
-        let mut total = 0usize;
-
-        let city = match map_path {
-            None => {
-                let _s = obs.registry.span("study/simulate/city");
-                taxitrace_roadnet::synth::generate(&config.city)
-            }
-            Some(path) => {
-                let _s = obs.registry.span("study/simulate/ingest_map");
-                let bytes = read(path)?;
-                let parsed = taxitrace_ingest::parse_osmx(&bytes)?;
-                obs.registry
-                    .counter("ingest.map.records_total")
-                    .add(parsed.records_total as u64);
-                total += parsed.records_total;
-                for issue in parsed.issues {
-                    quarantine.push(QuarantineEntry {
-                        stage: "ingest".into(),
-                        record: issue.record,
-                        reason: issue.reason.into(),
-                        detail: format!("{}: {}", path.display(), issue.detail),
-                    });
-                }
-                parsed.city
+        let quarantine = match losses {
+            None => Quarantine::default(),
+            Some(Losses { stage, ledger, total, budget }) => {
+                ledger.record_stage_metrics(&obs.registry, stage, total);
+                check_budget(stage, ledger.len(), total, budget)?;
+                ledger
             }
         };
-        let weather = weather_for(&config);
-
-        let traces = {
-            let _s = obs.registry.span("study/simulate/ingest_traces");
-            let bytes = read(trace_path)?;
-            taxitrace_ingest::parse_trace_csv(&bytes)
-        };
-        total += traces.records_total;
-        for issue in traces.issues {
-            quarantine.push(QuarantineEntry {
-                stage: "ingest".into(),
-                record: issue.record,
-                reason: issue.reason.into(),
-                detail: format!("{}: {}", trace_path.display(), issue.detail),
-            });
-        }
-
-        let mut store = TripStore::new();
-        {
-            let _s = obs.registry.span("study/simulate/persist");
-            store.insert_all(traces.sessions)?;
-        }
-
-        obs.registry.counter("ingest.records_total").add(total as u64);
-        obs.registry
-            .counter("ingest.records_valid")
-            .add((total - quarantine.len()) as u64);
-        obs.registry
-            .counter("ingest.quarantined_total")
-            .add(quarantine.len() as u64);
-        if !quarantine.is_empty() {
-            let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-            for entry in quarantine.entries() {
-                *by_kind.entry(entry.reason.label()).or_insert(0) += 1;
-            }
-            for (label, n) in by_kind {
-                obs.registry.counter(&format!("ingest.damaged.{label}")).add(n);
-            }
-        }
-        obs.registry.counter("ingest.sessions").add(store.sessions().len() as u64);
-        obs.registry.counter("sim.sessions").add(store.sessions().len() as u64);
-        let raw_points: usize =
-            store.sessions().iter().map(|s| s.points.len()).sum();
-        obs.registry.counter("sim.raw_points").add(raw_points as u64);
-
-        quarantine.record_stage_metrics(&obs.registry, "ingest", total);
-        let ingest_budget = config
-            .chaos
-            .as_ref()
-            .and_then(|p| p.error_budget)
-            .unwrap_or(config.fault.ingest_error_budget);
-        check_budget("ingest", quarantine.len(), total, ingest_budget)?;
         span.set_items(store.sessions().len() as u64);
         span.finish();
 
@@ -465,34 +247,211 @@ impl Study {
     /// match → fuse. Equivalent to chaining the four stages; kept as the
     /// one-call entry point.
     pub fn run(&self) -> Result<StudyOutput, Error> {
-        self.simulate()?.clean()?.analyze_od()?.match_fuse()
+        self.run_from(Source::Simulate)
     }
 
-    /// Runs the full pipeline over sessions ingested from external files
-    /// (see [`Study::simulate_from_external`] for the trust-boundary and
-    /// quarantine semantics).
-    pub fn run_from_external(
-        &self,
-        trace_path: &Path,
-        map_path: Option<&Path>,
-    ) -> Result<StudyOutput, Error> {
-        self.simulate_from_external(trace_path, map_path)?
-            .clean()?
-            .analyze_od()?
-            .match_fuse()
+    /// Runs the full pipeline over the sessions of any [`Source`].
+    pub fn run_from(&self, source: Source<'_>) -> Result<StudyOutput, Error> {
+        self.load(source)?.clean()?.analyze_od()?.match_fuse()
+    }
+}
+
+/// Where stage 1 takes the fleet's sessions from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// Simulate the fleet over the config's synthetic city.
+    Simulate,
+    /// Replay the sessions of a trip store file.
+    ///
+    /// The file is read through the salvage path: every verifiable record
+    /// survives, while damaged ones (CRC failures, a torn tail, a header
+    /// that disagrees with the body, duplicated records) are quarantined
+    /// at the `store` stage with typed reasons and counted against
+    /// [`crate::FaultConfig::store_error_budget`]. A store written under a
+    /// different config fingerprint is refused outright — replaying it
+    /// would silently produce results the config cannot explain.
+    Store(&'a Path),
+    /// Ingest the sessions from an external trace file, and the city from
+    /// an external map file when `map` is given.
+    ///
+    /// The files cross the pipeline's trust boundary: they may contain
+    /// arbitrary bytes. Parsing is record-framed and panic-free — every
+    /// malformed line, out-of-domain field, duplicate trip claim, or
+    /// dangling map reference is quarantined at the `ingest` stage with a
+    /// typed reason and counted against
+    /// [`crate::FaultConfig::ingest_error_budget`], so a damaged file
+    /// degrades record-by-record exactly like a damaged store file in the
+    /// salvage path. Only file-level failures (unreadable header, a map
+    /// with no usable ways) are fatal, as [`Error::Ingest`].
+    ///
+    /// Without `map`, the synthetic city of the config is used — so an
+    /// export → ingest round trip of the traces alone reproduces the batch
+    /// study byte-for-byte.
+    External { traces: &'a Path, map: Option<&'a Path> },
+}
+
+/// What one source hands the shared stage-1 scaffolding.
+pub(crate) struct Loaded {
+    pub(crate) city: SyntheticCity,
+    pub(crate) sessions: Vec<RawTrip>,
+    /// The records a source reading outside bytes lost; `None` for sources
+    /// that cannot lose records.
+    pub(crate) losses: Option<Losses>,
+}
+
+/// A source's dead-letter ledger, judged against its own error budget.
+pub(crate) struct Losses {
+    stage: &'static str,
+    ledger: Quarantine,
+    /// Records the source read, lost ones included.
+    total: usize,
+    budget: f64,
+}
+
+/// The config's city, generated under the `study/simulate/city` span.
+pub(crate) fn synth_city(config: &StudyConfig, registry: &Registry) -> SyntheticCity {
+    let _s = registry.span("study/simulate/city");
+    taxitrace_roadnet::synth::generate(&config.city)
+}
+
+/// A stage's error budget: the chaos plan's override, else `default`.
+fn budget_or(config: &StudyConfig, default: f64) -> f64 {
+    config.chaos.as_ref().and_then(|p| p.error_budget).unwrap_or(default)
+}
+
+fn simulate_fleet(config: &StudyConfig, registry: &Registry) -> Result<Loaded, Error> {
+    let city = synth_city(config, registry);
+    let fleet = {
+        let _s = registry.span("study/simulate/fleet");
+        taxitrace_traces::simulate_fleet(&city, &weather_for(config), &config.fleet)
+    };
+    registry.counter("exec.shard_units").add(fleet.shard_count as u64);
+    let mut sessions = fleet.sessions;
+    apply_chaos_trace_faults(config, &mut sessions, registry);
+    Ok(Loaded { city, sessions, losses: None })
+}
+
+fn replay_store(config: &StudyConfig, registry: &Registry, path: &Path) -> Result<Loaded, Error> {
+    let city = synth_city(config, registry);
+    let loaded = {
+        let _s = registry.span("study/simulate/load_store");
+        taxitrace_store::codec::load(path, &taxitrace_store::LoadOptions::salvage())?
+    };
+    if loaded.indexed {
+        registry.counter("store.indexed_reads").add(1);
+    }
+    let report = loaded.report;
+    let expected = crate::checkpoint::config_fingerprint(config);
+    if report.fingerprint != 0 && report.fingerprint != expected {
+        return Err(Error::Store(taxitrace_store::StoreError::BadFormat(format!(
+            "store {} was written under config fingerprint {:#018x}, expected {:#018x}",
+            path.display(),
+            report.fingerprint,
+            expected
+        ))));
     }
 
-    /// Runs the full pipeline over sessions replayed from a store file
-    /// (see [`Study::simulate_from_store`] for the salvage semantics).
-    pub fn run_from_store(&self, path: &Path) -> Result<StudyOutput, Error> {
-        self.simulate_from_store(path)?.clean()?.analyze_od()?.match_fuse()
+    let mut ledger = Quarantine::default();
+    for damage in &report.damage {
+        ledger.push(QuarantineEntry {
+            stage: "store".into(),
+            record: damage.index,
+            reason: damage.kind.into(),
+            detail: damage.detail.clone(),
+        });
     }
+    let mut seen = std::collections::BTreeSet::new();
+    let mut sessions = Vec::with_capacity(loaded.sessions.len());
+    for session in loaded.sessions {
+        if seen.insert(session.id.0) {
+            sessions.push(session);
+        } else {
+            // A duplicated on-disk frame decodes fine but would poison the
+            // store; quarantine the extra occurrence.
+            ledger.push(QuarantineEntry {
+                stage: "store".into(),
+                record: session.id.0,
+                reason: QuarantineReason::CorruptRecord,
+                detail: format!("duplicate on-disk record for trip {}", session.id.0),
+            });
+        }
+    }
+
+    let total = report.records_valid as usize + report.damage.len();
+    registry.counter("store.records_total").add(total as u64);
+    registry.counter("store.records_valid").add(sessions.len() as u64);
+    if !ledger.is_empty() {
+        registry.counter("store.corrupt_records").add(ledger.len() as u64);
+    }
+    for (label, n) in ledger.by_reason() {
+        registry.counter(&format!("store.damaged.{label}")).add(n as u64);
+    }
+    let budget = budget_or(config, config.fault.store_error_budget);
+    Ok(Loaded { city, sessions, losses: Some(Losses { stage: "store", ledger, total, budget }) })
+}
+
+fn ingest_external(
+    config: &StudyConfig,
+    registry: &Registry,
+    trace_path: &Path,
+    map_path: Option<&Path>,
+) -> Result<Loaded, Error> {
+    let read = |path: &Path| {
+        std::fs::read(path).map_err(|source| taxitrace_ingest::IngestError::Io {
+            path: path.display().to_string(),
+            source,
+        })
+    };
+    let mut ledger = Quarantine::default();
+    let mut total = 0usize;
+    let mut file_issues = |path: &Path, issues: Vec<taxitrace_ingest::RecordIssue>| {
+        for issue in issues {
+            ledger.push(QuarantineEntry {
+                stage: "ingest".into(),
+                record: issue.record,
+                reason: issue.reason.into(),
+                detail: format!("{}: {}", path.display(), issue.detail),
+            });
+        }
+    };
+
+    let city = match map_path {
+        None => synth_city(config, registry),
+        Some(path) => {
+            let _s = registry.span("study/simulate/ingest_map");
+            let parsed = taxitrace_ingest::parse_osmx(&read(path)?)?;
+            registry.counter("ingest.map.records_total").add(parsed.records_total as u64);
+            total += parsed.records_total;
+            file_issues(path, parsed.issues);
+            parsed.city
+        }
+    };
+    let traces = {
+        let _s = registry.span("study/simulate/ingest_traces");
+        taxitrace_ingest::parse_trace_csv(&read(trace_path)?)
+    };
+    total += traces.records_total;
+    file_issues(trace_path, traces.issues);
+
+    registry.counter("ingest.records_total").add(total as u64);
+    registry.counter("ingest.records_valid").add((total - ledger.len()) as u64);
+    registry.counter("ingest.quarantined_total").add(ledger.len() as u64);
+    registry.counter("ingest.sessions").add(traces.sessions.len() as u64);
+    for (label, n) in ledger.by_reason() {
+        registry.counter(&format!("ingest.damaged.{label}")).add(n as u64);
+    }
+    let budget = budget_or(config, config.fault.ingest_error_budget);
+    Ok(Loaded {
+        city,
+        sessions: traces.sessions,
+        losses: Some(Losses { stage: "ingest", ledger, total, budget }),
+    })
 }
 
 impl Simulated {
     /// Persists this stage's sessions as a v3 store file (atomic write,
     /// per-record CRCs, offset index), tagged with the config fingerprint so
-    /// [`Study::simulate_from_store`] can refuse a mismatched replay.
+    /// a [`Source::Store`] replay can refuse a mismatched config.
     pub fn save_store(&self, path: &Path) -> Result<(), Error> {
         let fingerprint = crate::checkpoint::config_fingerprint(&self.config);
         taxitrace_store::codec::save_sessions_tagged(
@@ -523,34 +482,8 @@ impl Simulated {
         cleaning: CleaningTotals,
         stage_quarantine: Vec<QuarantineEntry>,
     ) -> Result<Cleaned, Error> {
-        let Simulated { config, city, weather, store, mut quarantine, obs, .. } = self;
-
-        let mut span = obs.registry.span("study/clean");
-        let (error_budget, _) = resolved_fault_policy(&config);
-        let total = store.sessions().len();
-        let clean_added =
-            stage_quarantine.iter().filter(|e| e.stage == "clean").count();
-        for entry in stage_quarantine {
-            quarantine.push(entry);
-        }
-        cleaning.record_metrics(&obs.registry);
-        quarantine.record_stage_metrics(&obs.registry, "clean", total);
-        check_budget("clean", clean_added, total, error_budget)?;
-        span.set_items(segments.len() as u64);
-        span.finish();
-
-        let metrics = obs.registry.snapshot();
-        Ok(Cleaned {
-            config,
-            city,
-            weather,
-            store,
-            segments,
-            cleaning,
-            quarantine,
-            metrics,
-            obs,
-        })
+        let span = self.obs.registry.span("study/clean");
+        self.finish_clean(span, segments, cleaning, stage_quarantine)
     }
 
     /// Stage 2: clean every session (parallel per session; deterministic
@@ -563,101 +496,105 @@ impl Simulated {
     /// The ledger carried in from stage 1 (store salvage damage) is kept;
     /// this stage's budget is judged only on its own additions.
     pub fn clean(self) -> Result<Cleaned, Error> {
-        let Simulated { config, city, weather, store, mut quarantine, obs, .. } = self;
-
-        let mut span = obs.registry.span("study/clean");
-        let (error_budget, max_attempts) = resolved_fault_policy(&config);
-        let panic_one_in =
-            config.chaos.as_ref().map(|p| p.task_panic_one_in).unwrap_or(0);
+        let span = self.obs.registry.span("study/clean");
+        let config = &self.config;
+        let (_, max_attempts) = resolved_fault_policy(config);
         let policy = TaskPolicy {
             failure: FailurePolicy::Collect { max_failures: usize::MAX },
             max_attempts,
         };
-        let cleaning_config = &config.cleaning;
-        let anomaly_config = &config.fault.anomaly;
         let task = |_: &mut (), session: &RawTrip| -> Result<CleanedSession, (AnomalyKind, String)> {
-            if panic_one_in > 0 && session.id.0.is_multiple_of(panic_one_in) {
+            if let Some(message) = injected_clean_panic(config, session.id.0) {
                 // lint:allow(panic-free-library): chaos-injected fault, isolated by the executor
-                panic!("chaos: injected clean-task panic (trip {})", session.id.0);
+                panic!("{message}");
             }
-            let cleaned = clean_session(session, cleaning_config);
-            match session_anomaly(&cleaned, anomaly_config) {
-                Some((kind, detail)) => Err((kind, detail)),
-                None => Ok(cleaned),
-            }
+            let cleaned = clean_session(session, &config.cleaning);
+            session_anomaly(&cleaned, &config.fault.anomaly).map_or(Ok(cleaned), Err)
         };
         // `Collect { usize::MAX }` never rejects the batch, so the error
-        // arm is structurally unreachable; budget enforcement happens
-        // below, against the quarantined fraction.
-        let slots = match taxitrace_exec::try_par_map_init_metered(
-            store.sessions(),
+        // arm is structurally unreachable; budget enforcement happens in
+        // the shared tail, against the quarantined fraction.
+        let (slots, _) = taxitrace_exec::try_par_map_init_metered(
+            self.store.sessions(),
             || (),
             task,
             policy,
-            &obs.meter,
-        ) {
-            Ok((slots, _)) => slots,
-            Err(batch) => {
-                return Err(Error::Pipeline(format!(
-                    "clean batch rejected: {} failures, first at index {}",
-                    batch.failures, batch.index
-                )))
-            }
-        };
+            &self.obs.meter,
+        )
+        .map_err(|batch| {
+            Error::Pipeline(format!(
+                "clean batch rejected: {} failures, first at index {}",
+                batch.failures, batch.index
+            ))
+        })?;
 
-        let total = slots.len();
-        let before = quarantine.len();
         let mut cleaning = CleaningTotals::default();
         let mut segments: Vec<TripSegment> = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
+        let mut failures = Vec::new();
+        for (slot, session) in slots.into_iter().zip(self.store.sessions()) {
             match slot {
                 Ok(cleaned) => {
                     cleaning.absorb(&cleaned.stats);
                     segments.extend(cleaned.segments);
                 }
-                Err(error) => {
-                    let record = store.sessions()[i].id.0;
-                    let (reason, detail) = match error {
-                        TaskError::Panicked { message } => {
-                            (QuarantineReason::TaskPanic, message)
-                        }
-                        TaskError::Failed { error: (kind, detail), attempts } => (
-                            kind.into(),
-                            if attempts > 1 {
-                                format!("{detail} (after {attempts} attempts)")
-                            } else {
-                                detail
-                            },
-                        ),
-                    };
-                    quarantine.push(QuarantineEntry {
-                        stage: "clean".into(),
-                        record,
-                        reason,
-                        detail,
-                    });
-                }
+                Err(error) => failures.push(clean_failure(session.id.0, error)),
             }
+        }
+        self.finish_clean(span, segments, cleaning, failures)
+    }
+
+    /// The stage-2 tail both [`Simulated::clean`] and
+    /// [`Simulated::assemble_cleaned`] end in: append the stage's ledger
+    /// entries, emit the cleaning and quarantine metrics, judge the clean
+    /// budget and snapshot.
+    fn finish_clean(
+        self,
+        mut span: Span,
+        segments: Vec<TripSegment>,
+        cleaning: CleaningTotals,
+        stage_quarantine: Vec<QuarantineEntry>,
+    ) -> Result<Cleaned, Error> {
+        let Simulated { config, city, weather, store, mut quarantine, obs, .. } = self;
+        let (error_budget, _) = resolved_fault_policy(&config);
+        let total = store.sessions().len();
+        let clean_added = stage_quarantine.iter().filter(|e| e.stage == "clean").count();
+        for entry in stage_quarantine {
+            quarantine.push(entry);
         }
         cleaning.record_metrics(&obs.registry);
         quarantine.record_stage_metrics(&obs.registry, "clean", total);
-        check_budget("clean", quarantine.len() - before, total, error_budget)?;
+        check_budget("clean", clean_added, total, error_budget)?;
         span.set_items(segments.len() as u64);
         span.finish();
 
         let metrics = obs.registry.snapshot();
-        Ok(Cleaned {
-            config,
-            city,
-            weather,
-            store,
-            segments,
-            cleaning,
-            quarantine,
-            metrics,
-            obs,
-        })
+        Ok(Cleaned { config, city, weather, store, segments, cleaning, quarantine, metrics, obs })
     }
+}
+
+/// The chaos plan's injected clean-task panic for `trip`: the panic
+/// message when the plan picks this trip, else `None`. The batch task
+/// raises it for the executor to isolate; the stream, which runs no
+/// executor, files it directly through [`clean_failure`].
+pub fn injected_clean_panic(config: &StudyConfig, trip: u64) -> Option<String> {
+    let one_in = config.chaos.as_ref().map_or(0, |p| p.task_panic_one_in);
+    (one_in > 0 && trip.is_multiple_of(one_in))
+        .then(|| format!("chaos: injected clean-task panic (trip {trip})"))
+}
+
+/// The `clean` ledger entry for a session whose clean task failed: the
+/// panic message, or the anomaly with the executor's "(after N attempts)"
+/// suffix when it was retried. Public so the stream's per-trip clean files
+/// exactly the entries the batch fold does.
+pub fn clean_failure(record: u64, error: TaskError<(AnomalyKind, String)>) -> QuarantineEntry {
+    let (reason, detail) = match error {
+        TaskError::Panicked { message } => (QuarantineReason::TaskPanic, message),
+        TaskError::Failed { error: (kind, detail), attempts } => (
+            kind.into(),
+            if attempts > 1 { format!("{detail} (after {attempts} attempts)") } else { detail },
+        ),
+    };
+    QuarantineEntry { stage: "clean".into(), record, reason, detail }
 }
 
 impl Cleaned {
@@ -863,7 +800,7 @@ impl OdSelected {
                 )
             };
         // Match and fuse in parallel, preserving order; each worker keeps
-        // one scratch (search arrays + gap-fill cache) across its share.
+        // one scratch (search arrays and audit counters) across its share.
         let (fused, scratches): (Vec<(TransitionRecord, bool)>, Vec<MatchScratch>) = {
             let _s = obs.registry.span("study/match_fuse/match");
             taxitrace_exec::par_map_init_metered(

@@ -49,6 +49,10 @@
 //! let cleaned = sim.clean().expect("clean");
 //! assert!(!cleaned.segments.is_empty());
 //! ```
+//!
+//! [`Study::load`] is the one way into stage 1 for every [`Source`] (the
+//! simulator, a trip store file, or untrusted external files), and
+//! [`Study::run_from`] runs the whole pipeline from any of them.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -76,11 +80,13 @@ pub use export::export_csv;
 pub use config::{ConfigError, FaultConfig, StudyConfig, StudyConfigBuilder};
 pub use error::Error;
 pub use experiment::{
-    resolved_fault_policy, resolved_matching_config, transition_anomaly, weather_for, Cleaned,
-    OdSelected, Simulated, Study, StudyOutput,
+    clean_failure, injected_clean_panic, resolved_fault_policy, resolved_matching_config,
+    transition_anomaly, Cleaned, OdSelected, Simulated, Source, Study, StudyOutput,
 };
 pub use quarantine::{check_budget, Quarantine, QuarantineEntry, QuarantineReason};
 pub use taxitrace_traces::FaultPlan;
+// The executor's task-failure type, as [`clean_failure`] takes it.
+pub use taxitrace_exec::TaskError;
 pub use taxitrace_cleaning::CleaningTotals;
 pub use gridstats::{CellStat, GridStats, Table5, Table5Class};
 pub use mixedanalysis::{mixed_model, mixed_model_with_features, CellEffect, MixedResults};

@@ -7,8 +7,8 @@
 //! * a **default** (no-chaos) plan changes nothing — the fault-tolerant
 //!   pipeline is byte-identical to the historical one on healthy data;
 //! * chaos faults are **deterministic** in the plan seed: same plan, same
-//!   results, same quarantine ledger, across runs *and* across a
-//!   kill/`Study::resume` boundary;
+//!   results, same quarantine ledger, across runs *and* across a kill and
+//!   a second `Study::run_with_checkpoints` call;
 //! * degradation is **bounded and typed**: within the error budget a run
 //!   succeeds with a populated ledger, past it the run fails with a
 //!   structured [`Error::BudgetExceeded`], and no injected panic ever
@@ -179,7 +179,7 @@ fn kill_and_resume_is_byte_identical() {
     // Resume completes from the checkpoint (the killed stage is loaded,
     // not re-run, so the kill does not re-fire) and matches an unkilled
     // run of the same config bit for bit.
-    let resumed = study.resume(&dir).expect("resume after kill");
+    let resumed = study.run_with_checkpoints(&dir).expect("resume after kill");
     let unkilled = Study::new(config).run().expect("straight-through run");
     assert_same_results(&resumed, &unkilled);
     assert!(!resumed.quarantine.is_empty());
@@ -206,7 +206,7 @@ fn checkpoint_write_failure_recovers_on_retry() {
         Err(Error::Store(_)) => {}
         other => panic!("expected the injected store error, got {other:?}"),
     }
-    let retried = study.resume(&dir).expect("retry survives the one-shot fault");
+    let retried = study.run_with_checkpoints(&dir).expect("retry survives the one-shot fault");
     let plain = Study::new(config).run().expect("plain run");
     assert_same_results(&retried, &plain);
     let _ = std::fs::remove_dir_all(&dir);

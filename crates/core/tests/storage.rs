@@ -4,7 +4,7 @@
 //!
 //! The central claims verified here:
 //!
-//! * replaying a **healthy** v2 store produces the same study results as
+//! * replaying a **healthy** v3 store produces the same study results as
 //!   the live simulation that wrote it;
 //! * seeded bit-flip + torn-tail corruption loses **only** the damaged
 //!   records: the pipeline completes, the lost records land in the
@@ -18,7 +18,7 @@
 
 use std::path::{Path, PathBuf};
 
-use taxitrace_core::{Error, FaultPlan, QuarantineReason, Study, StudyConfig, StudyOutput};
+use taxitrace_core::{Error, FaultPlan, QuarantineReason, Source, Study, StudyConfig, StudyOutput};
 use taxitrace_store::codec::record_spans;
 use taxitrace_store::fsck::fsck_path;
 use taxitrace_store::StoreError;
@@ -68,7 +68,7 @@ fn healthy_store_replay_equals_live_run() {
     let path = saved_store(&dir);
     let live = Study::new(StudyConfig::quick(7)).run().expect("live run");
     let replayed =
-        Study::new(StudyConfig::quick(7)).run_from_store(&path).expect("replay run");
+        Study::new(StudyConfig::quick(7)).run_from(Source::Store(&path)).expect("replay run");
     assert_same_results(&live, &replayed);
     assert!(replayed.quarantine.is_empty());
     // The replay path reports what it read; a healthy file has no
@@ -90,8 +90,9 @@ fn corruption_loses_only_the_damaged_records() {
     assert!(applied.contains(&"disk_bit_flip"));
     assert!(applied.contains(&"disk_truncate"));
 
-    let a = Study::new(StudyConfig::quick(7)).run_from_store(&path).expect("salvage run a");
-    let b = Study::new(StudyConfig::quick(7)).run_from_store(&path).expect("salvage run b");
+    let study = Study::new(StudyConfig::quick(7));
+    let a = study.run_from(Source::Store(&path)).expect("salvage run a");
+    let b = study.run_from(Source::Store(&path)).expect("salvage run b");
     assert_same_results(&a, &b);
 
     // Every lost record is a typed ledger entry at the store stage.
@@ -138,7 +139,7 @@ fn zero_store_budget_is_a_structured_error() {
     let sim = Study::new(config.clone()).simulate().expect("simulate");
     sim.save_store(&path).expect("save store");
     corrupt_store(&path);
-    match Study::new(config).run_from_store(&path) {
+    match Study::new(config).run_from(Source::Store(&path)) {
         Err(Error::BudgetExceeded { stage, quarantined, total, budget }) => {
             assert_eq!(stage, "store");
             assert!(quarantined > 0 && quarantined <= total);
@@ -155,7 +156,7 @@ fn foreign_fingerprint_is_refused() {
     let path = saved_store(&dir);
     // Same store, different study config: the fingerprint gate must refuse
     // to silently analyze another study's data.
-    match Study::new(StudyConfig::quick(8)).run_from_store(&path) {
+    match Study::new(StudyConfig::quick(8)).run_from(Source::Store(&path)) {
         Err(Error::Store(StoreError::BadFormat(msg))) => {
             assert!(msg.contains("fingerprint"), "{msg}");
         }
@@ -186,7 +187,7 @@ fn fsck_repair_round_trips_to_a_clean_store() {
     // ...which rescans with zero errors and replays with an empty ledger.
     let reports = fsck_path(&path, false).expect("rescan");
     assert!(reports[0].is_clean(), "repaired file must be clean: {:?}", reports[0]);
-    let out = Study::new(StudyConfig::quick(7)).run_from_store(&path).expect("replay");
+    let out = Study::new(StudyConfig::quick(7)).run_from(Source::Store(&path)).expect("replay");
     assert!(out.quarantine.is_empty());
     assert!(out.metrics.counter("store.corrupt_records").is_none());
     let _ = std::fs::remove_dir_all(&dir);

@@ -12,7 +12,7 @@
 use std::path::Path;
 
 use taxitrace_core::{
-    answer, Error, GridStats, QueryEngine, QueryRequest, QueryResponse, Study, StudyConfig,
+    answer, Error, GridStats, QueryEngine, QueryRequest, QueryResponse, Source, Study, StudyConfig,
     StudyOutput,
 };
 use taxitrace_store::QueryError;
@@ -29,12 +29,11 @@ pub struct Snapshot {
 impl Snapshot {
     /// Opens a store file and runs the analysis pipeline over it,
     /// producing a servable snapshot. Verified reads, salvage demotion
-    /// and fingerprint gating are inherited from
-    /// [`Study::run_from_store`]; the quarantine ledger and `store.*`
-    /// counters of the underlying run stay inspectable via
-    /// [`Snapshot::output`].
+    /// and fingerprint gating are inherited from [`Source::Store`]; the
+    /// quarantine ledger and `store.*` counters of the underlying run stay
+    /// inspectable via [`Snapshot::output`].
     pub fn open(path: &Path, config: StudyConfig) -> Result<Self, Error> {
-        Ok(Self::from_output(Study::new(config).run_from_store(path)?))
+        Ok(Self::from_output(Study::new(config).run_from(Source::Store(path))?))
     }
 
     /// Wraps an already-computed study output (the batch path's object)

@@ -24,8 +24,8 @@ use std::thread;
 
 use taxitrace_cleaning::{clean_session, session_anomaly, CleaningTotals, TripSegment};
 use taxitrace_core::{
-    check_budget, resolved_fault_policy, transition_anomaly, Error, Quarantine, QuarantineEntry,
-    QuarantineReason, Study, StudyConfig,
+    check_budget, clean_failure, injected_clean_panic, resolved_fault_policy, transition_anomaly,
+    Error, Quarantine, QuarantineEntry, QuarantineReason, Study, StudyConfig, TaskError,
 };
 use taxitrace_od::OdAnalyzer;
 use taxitrace_traces::{RawTrip, RoutePoint};
@@ -126,7 +126,6 @@ pub fn run_stream(
     // authoritative tables are computed by the batch stages at assembly.
     let analyzer = OdAnalyzer::from_city(&sim.city);
     let (error_budget, max_attempts) = resolved_fault_policy(&sim.config);
-    let panic_one_in = plan.as_ref().map(|p| p.task_panic_one_in).unwrap_or(0);
     let kill_after = plan.as_ref().map(|p| p.stream_kill_after_records).unwrap_or(0);
 
     let mut machine = WatermarkMachine::new(WatermarkConfig {
@@ -189,7 +188,6 @@ pub fn run_stream(
                         sim.store.sessions(),
                         &sim.config,
                         &analyzer,
-                        panic_one_in,
                         max_attempts,
                         &mut state,
                         &mut window,
@@ -238,7 +236,6 @@ pub fn run_stream(
             sim.store.sessions(),
             &sim.config,
             &analyzer,
-            panic_one_in,
             max_attempts,
             &mut state,
             &mut window,
@@ -274,7 +271,6 @@ pub fn run_stream(
             None => clean_one(
                 &rebuild_session(&sim.store.sessions()[si as usize], Vec::new()),
                 &sim.config,
-                panic_one_in,
                 max_attempts,
                 &mut state.totals,
             ),
@@ -341,47 +337,28 @@ fn rebuild_session(original: &RawTrip, points: Vec<RoutePoint>) -> RawTrip {
 }
 
 /// Replicates the batch clean task for one session: same panic injection,
-/// same anomaly check, same quarantine entry shape (including the retry
-/// suffix the executor would add). Quarantined sessions contribute no
-/// segments and no totals — exactly like a failed batch task slot.
+/// same anomaly check, and the ledger entry the batch fold files for the
+/// executor's verdict (a deterministic anomaly fails all `max_attempts`).
+/// Quarantined sessions contribute no segments and no totals — exactly
+/// like a failed batch task slot.
 fn clean_one(
     session: &RawTrip,
     config: &StudyConfig,
-    panic_one_in: u64,
     max_attempts: u32,
     totals: &mut CleaningTotals,
 ) -> SessionProducts {
-    if panic_one_in > 0 && session.id.0.is_multiple_of(panic_one_in) {
-        return SessionProducts {
-            segments: Vec::new(),
-            quarantine: Some(QuarantineEntry {
-                stage: "clean".into(),
-                record: session.id.0,
-                reason: QuarantineReason::TaskPanic,
-                detail: format!("chaos: injected clean-task panic (trip {})", session.id.0),
-            }),
-        };
-    }
-    let cleaned = clean_session(session, &config.cleaning);
-    match session_anomaly(&cleaned, &config.fault.anomaly) {
-        Some((kind, detail)) => SessionProducts {
-            segments: Vec::new(),
-            quarantine: Some(QuarantineEntry {
-                stage: "clean".into(),
-                record: session.id.0,
-                reason: kind.into(),
-                detail: if max_attempts > 1 {
-                    format!("{detail} (after {max_attempts} attempts)")
-                } else {
-                    detail
-                },
-            }),
-        },
+    let failure = match injected_clean_panic(config, session.id.0) {
+        Some(message) => TaskError::Panicked { message },
         None => {
-            totals.absorb(&cleaned.stats);
-            SessionProducts { segments: cleaned.segments, quarantine: None }
+            let cleaned = clean_session(session, &config.cleaning);
+            let Some(error) = session_anomaly(&cleaned, &config.fault.anomaly) else {
+                totals.absorb(&cleaned.stats);
+                return SessionProducts { segments: cleaned.segments, quarantine: None };
+            };
+            TaskError::Failed { error, attempts: max_attempts }
         }
-    }
+    };
+    SessionProducts { segments: Vec::new(), quarantine: Some(clean_failure(session.id.0, failure)) }
 }
 
 /// Processes one watermark-closed trip: incremental clean, then live O-D
@@ -394,7 +371,6 @@ fn close_trip(
     sessions: &[RawTrip],
     config: &StudyConfig,
     analyzer: &OdAnalyzer,
-    panic_one_in: u64,
     max_attempts: u32,
     state: &mut StreamState,
     window: &mut SlidingWindow,
@@ -404,7 +380,7 @@ fn close_trip(
     let last_event_s = buffer.last_event_s;
     let points: Vec<RoutePoint> = buffer.points.into_values().collect();
     let session = rebuild_session(&sessions[si as usize], points);
-    let products = clean_one(&session, config, panic_one_in, max_attempts, &mut state.totals);
+    let products = clean_one(&session, config, max_attempts, &mut state.totals);
     metrics.trips_closed.inc();
 
     if products.quarantine.is_none() && !products.segments.is_empty() {

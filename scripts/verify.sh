@@ -295,6 +295,34 @@ rm -rf "$fpdir"
     exit 1
 }
 
+# Front-door smoke: a --store replay of an unmodified saved store, a
+# --checkpoint-dir run, and a second run over the same directory (which
+# loads every stage checkpoint instead of recomputing) must all print
+# the batch fingerprint.
+fddir=$(mktemp -d)
+front_door_fp() {
+    ./target/release/repro --scale 0.05 "$@" fingerprint 2>/dev/null \
+        | sed -n 's/^study fingerprint \(0x[0-9a-f]*\)$/\1/p'
+}
+same_as_batch() {
+    [ "$2" = "$fp_small" ] || {
+        echo "verify: $1 fingerprint '$2' != batch $fp_small" >&2
+        exit 1
+    }
+}
+./target/release/repro --scale 0.05 store-save "$fddir/trips.tts" > /dev/null 2>&1
+same_as_batch "--store replay" "$(front_door_fp --store "$fddir/trips.tts")"
+same_as_batch "first --checkpoint-dir run" "$(front_door_fp --checkpoint-dir "$fddir/ck")"
+for stage in simulate clean od; do
+    test -s "$fddir/ck/$stage.ttck" || {
+        echo "verify: --checkpoint-dir run wrote no $stage checkpoint" >&2
+        exit 1
+    }
+done
+same_as_batch "second --checkpoint-dir run" "$(front_door_fp --checkpoint-dir "$fddir/ck")"
+rm -rf "$fddir"
+echo "front-door smoke OK: store replay and checkpoint resume print $fp_small"
+
 # Serve smoke: start the HTTP query service on an ephemeral port, issue
 # one query of each kind, and check (a) every route answers canonical
 # JSON, (b) /metrics exposes the schema-versioned obs document with the

@@ -13,7 +13,7 @@
 //!   and at 4 workers: line lexing is parallel, but the issue ledger is
 //!   ordered by record number, never by completion order.
 
-use taxi_traces::core::{Study, StudyConfig, StudyOutput};
+use taxi_traces::core::{Source, Study, StudyConfig, StudyOutput};
 use taxi_traces::ingest::{export_osmx, export_trace_csv, mutate};
 use taxi_traces::traces::PointTruth;
 
@@ -59,13 +59,15 @@ fn external_round_trip_reproduces_the_batch_study_at_any_worker_count() {
     std::fs::write(&map_path, export_osmx(&sim.city)).expect("write map");
 
     // Round trip, synthetic city: bit-identical to the batch study.
-    let ingested = study.run_from_external(&csv_path, None).expect("ingest runs");
+    let ingested =
+        study.run_from(Source::External { traces: &csv_path, map: None }).expect("ingest runs");
     assert!(ingested.quarantine.is_empty(), "clean export quarantines nothing");
     assert_identical(&batch, &ingested, "csv round trip");
 
     // Round trip through the exported map as well.
-    let with_map =
-        study.run_from_external(&csv_path, Some(&map_path)).expect("map ingest runs");
+    let with_map = study
+        .run_from(Source::External { traces: &csv_path, map: Some(&map_path) })
+        .expect("map ingest runs");
     assert!(with_map.quarantine.is_empty(), "clean map quarantines nothing");
     assert_identical(&batch, &with_map, "csv+osmx round trip");
 
@@ -78,7 +80,7 @@ fn external_round_trip_reproduces_the_batch_study_at_any_worker_count() {
     let mut ledgers = Vec::new();
     for workers in [1usize, 4] {
         taxitrace_exec::set_max_workers(workers);
-        let out = study.run_from_external(&mutant_path, None);
+        let out = study.run_from(Source::External { traces: &mutant_path, map: None });
         taxitrace_exec::set_max_workers(0);
         // A mutant may or may not stay under the error budget; both
         // verdicts are fine as long as they agree across worker counts.
