@@ -326,6 +326,9 @@ fn simulate_fleet(config: &StudyConfig, registry: &Registry) -> Result<Loaded, E
         taxitrace_traces::simulate_fleet(&city, &weather_for(config), &config.fleet)
     };
     registry.counter("exec.shard_units").add(fleet.shard_count as u64);
+    registry.counter("sim.routed_legs").add(fleet.routed_legs);
+    registry.counter("sim.steps").add(fleet.steps);
+    registry.counter("sim.route_expanded").add(fleet.route_expanded);
     let mut sessions = fleet.sessions;
     apply_chaos_trace_faults(config, &mut sessions, registry);
     Ok(Loaded { city, sessions, losses: None })

@@ -1,6 +1,12 @@
 /// Normalizes an angle in degrees to `[0, 360)`.
+///
+/// Compass headings are usually in range already; those return as they
+/// are (what `deg % 360.0` gives them, -0.0 included) without the `fmod`.
 #[inline]
 pub fn normalize_deg(deg: f64) -> f64 {
+    if (0.0..360.0).contains(&deg) {
+        return deg;
+    }
     let d = deg % 360.0;
     if d < 0.0 {
         d + 360.0
@@ -72,11 +78,53 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The `%` form the in-range fast path short-cuts.
+    fn normalize_reference(deg: f64) -> f64 {
+        let d = deg % 360.0;
+        if d < 0.0 {
+            d + 360.0
+        } else {
+            d
+        }
+    }
+
+    #[test]
+    fn normalize_matches_the_fmod_form_on_edge_inputs() {
+        let edges = [
+            0.0,
+            -0.0,
+            360.0,
+            -360.0,
+            359.99999999999994,
+            -1e-300,
+            1e-300,
+            720.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        for d in edges {
+            assert_eq!(
+                normalize_deg(d).to_bits(),
+                normalize_reference(d).to_bits(),
+                "normalize_deg({d:e})"
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn normalized_in_range(a in -10_000f64..10_000.0) {
             let n = normalize_deg(a);
             prop_assert!((0.0..360.0).contains(&n));
+        }
+
+        /// Bit-identical to the `%` form across and around `[0, 360)`.
+        #[test]
+        fn normalize_matches_the_fmod_form(a in -1_000f64..1_000.0) {
+            prop_assert_eq!(normalize_deg(a).to_bits(), normalize_reference(a).to_bits());
         }
 
         #[test]

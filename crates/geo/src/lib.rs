@@ -54,7 +54,7 @@ pub use corridor::{Corridor, Crossing};
 pub use distance::{bearing_deg, haversine_m, EARTH_RADIUS_M};
 pub use grid::{CellId, Grid};
 pub use point::{GeoPoint, Point};
-pub use polyline::{Polyline, PolylineError, Projection};
+pub use polyline::{Polyline, PolylineCursor, PolylineError, Projection};
 pub use proj::LocalProjection;
 pub use rtree::{RTree, RTreeEntry};
 pub use segment::Segment;

@@ -127,11 +127,34 @@ impl Polyline {
     /// Point at arc-length `offset` from the start, clamped to `[0, length]`.
     pub fn point_at(&self, offset: f64) -> Point {
         let offset = offset.clamp(0.0, self.length());
-        // Binary search for the segment containing `offset`.
-        let i = match self.cum.binary_search_by(|c| c.total_cmp(&offset)) {
-            Ok(i) => i.min(self.num_segments()),
-            Err(i) => i - 1,
-        };
+        self.point_in(self.vertex_at_or_before(offset), offset)
+    }
+
+    /// Compass heading of the polyline at arc-length `offset` (heading of the
+    /// segment containing that offset).
+    pub fn heading_at(&self, offset: f64) -> f64 {
+        let offset = offset.clamp(0.0, self.length());
+        self.heading_from(self.vertex_at_or_before(offset))
+    }
+
+    /// A cursor answering [`Self::point_at`] / [`Self::heading_at`] for
+    /// offsets that mostly grow, without a search per query.
+    pub fn cursor(&self) -> PolylineCursor<'_> {
+        PolylineCursor { line: self, vertex: 0, heading: None }
+    }
+
+    /// Index of the last vertex at or before the clamped `offset`: the
+    /// segment holding it, or `num_segments()` at the far end. Repeated
+    /// vertex offsets (zero-length segments) resolve to the last of them.
+    fn vertex_at_or_before(&self, offset: f64) -> usize {
+        self.cum
+            .partition_point(|c| c.total_cmp(&offset).is_le())
+            .saturating_sub(1)
+    }
+
+    /// Point at the clamped `offset`, whose last vertex at or before it is `i`.
+    #[inline]
+    fn point_in(&self, i: usize, offset: f64) -> Point {
         if i >= self.num_segments() {
             return self.end();
         }
@@ -140,25 +163,13 @@ impl Polyline {
         self.segment(i).point_at(t)
     }
 
-    /// Compass heading of the polyline at arc-length `offset` (heading of the
-    /// segment containing that offset).
-    pub fn heading_at(&self, offset: f64) -> f64 {
-        let offset = offset.clamp(0.0, self.length());
-        let mut i = match self.cum.binary_search_by(|c| c.total_cmp(&offset)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        if i >= self.num_segments() {
-            i = self.num_segments() - 1;
-        }
-        // Skip zero-length segments.
-        let mut j = i;
-        while j < self.num_segments() && self.segment(j).length() == 0.0 {
-            j += 1;
-        }
-        if j >= self.num_segments() {
-            j = i.min(self.num_segments() - 1);
-        }
+    /// Heading of the first non-zero-length segment from vertex `i` on, or
+    /// of segment `i` itself when every later one is degenerate.
+    fn heading_from(&self, i: usize) -> f64 {
+        let i = i.min(self.num_segments() - 1);
+        let j = (i..self.num_segments())
+            .find(|&j| self.segment(j).length() != 0.0)
+            .unwrap_or(i);
         self.segment(j).heading()
     }
 
@@ -211,17 +222,21 @@ impl Polyline {
         out
     }
 
-    /// Concatenates another polyline onto the end of this one, skipping the
-    /// duplicated join vertex when the endpoints coincide (within 1 mm).
-    pub fn extend_with(&mut self, other: &Polyline) {
-        let mut verts = std::mem::take(&mut self.vertices);
-        let skip_first = verts
-            .last()
-            .is_some_and(|p| p.distance(other.start()) < 1e-3);
-        let tail = if skip_first { &other.vertices[1..] } else { &other.vertices[..] };
-        verts.extend_from_slice(tail);
-        // lint:allow(panic-free-library): both inputs had >= 2 vertices
-        *self = Polyline::new(verts).expect("concatenation keeps >= 2 vertices");
+    /// Concatenates `parts` in order, each reversed when its flag is set,
+    /// dropping a part's first vertex where it coincides (within 1 mm) with
+    /// the last vertex so far. `None` when there are no parts.
+    pub fn join<'p>(parts: impl IntoIterator<Item = (&'p Polyline, bool)>) -> Option<Polyline> {
+        let mut verts: Vec<Point> = Vec::new();
+        for (part, reversed) in parts {
+            let start = if reversed { part.end() } else { part.start() };
+            let skip = usize::from(verts.last().is_some_and(|p| p.distance(start) < 1e-3));
+            if reversed {
+                verts.extend(part.vertices.iter().rev().skip(skip));
+            } else {
+                verts.extend_from_slice(&part.vertices[skip..]);
+            }
+        }
+        Polyline::new(verts).ok()
     }
 
     /// The polyline with vertex order reversed.
@@ -230,6 +245,58 @@ impl Polyline {
         v.reverse();
         // lint:allow(panic-free-library): `self` already had >= 2 vertices
         Polyline::new(v).expect("reversal keeps >= 2 vertices")
+    }
+}
+
+/// A cursor over a [`Polyline`] that answers [`Polyline::point_at`] and
+/// [`Polyline::heading_at`] bit for bit, walking from the segment of the
+/// previous query instead of searching. A run of growing offsets costs
+/// O(1) amortised per query; an offset that moves back walks back. The
+/// heading of the segment last resolved is kept, so a caller stepping
+/// within one segment pays for its heading once.
+#[derive(Debug, Clone)]
+pub struct PolylineCursor<'a> {
+    line: &'a Polyline,
+    /// Last vertex at or before the previous query's offset.
+    vertex: usize,
+    /// `(vertex, heading)` of the last [`Self::heading_at`] answer.
+    heading: Option<(usize, f64)>,
+}
+
+impl PolylineCursor<'_> {
+    /// Same as [`Polyline::point_at`].
+    #[inline]
+    pub fn point_at(&mut self, offset: f64) -> Point {
+        let offset = self.seek(offset);
+        self.line.point_in(self.vertex, offset)
+    }
+
+    /// Same as [`Polyline::heading_at`].
+    #[inline]
+    pub fn heading_at(&mut self, offset: f64) -> f64 {
+        self.seek(offset);
+        match self.heading {
+            Some((at, h)) if at == self.vertex => h,
+            _ => {
+                let h = self.line.heading_from(self.vertex);
+                self.heading = Some((self.vertex, h));
+                h
+            }
+        }
+    }
+
+    /// Clamps `offset` and moves to its [`Polyline::vertex_at_or_before`].
+    #[inline]
+    fn seek(&mut self, offset: f64) -> f64 {
+        let offset = offset.clamp(0.0, self.line.length());
+        let cum = &self.line.cum;
+        while self.vertex + 1 < cum.len() && cum[self.vertex + 1].total_cmp(&offset).is_le() {
+            self.vertex += 1;
+        }
+        while self.vertex > 0 && cum[self.vertex].total_cmp(&offset).is_gt() {
+            self.vertex -= 1;
+        }
+        offset
     }
 }
 
@@ -302,12 +369,20 @@ mod tests {
     }
 
     #[test]
-    fn extend_with_dedups_join() {
-        let mut a = pl(&[(0.0, 0.0), (10.0, 0.0)]);
+    fn join_dedups_and_orients_parts() {
+        let a = pl(&[(0.0, 0.0), (10.0, 0.0)]);
         let b = pl(&[(10.0, 0.0), (10.0, 5.0)]);
-        a.extend_with(&b);
-        assert_eq!(a.vertices().len(), 3);
-        assert_eq!(a.length(), 15.0);
+        let j = Polyline::join([(&a, false), (&b, false)]).unwrap();
+        assert_eq!(j.vertices().len(), 3);
+        assert_eq!(j.length(), 15.0);
+        // Reversed parts join at their far end; a gap keeps both vertices.
+        let c = pl(&[(20.0, 5.0), (10.0, 5.0)]);
+        let j = Polyline::join([(&a, false), (&b, false), (&c, true)]).unwrap();
+        assert_eq!(j.vertices().len(), 4);
+        assert_eq!(j.end(), Point::new(20.0, 5.0));
+        let j = Polyline::join([(&a, false), (&c, false)]).unwrap();
+        assert_eq!(j.vertices().len(), 4);
+        assert!(Polyline::join([]).is_none());
     }
 
     #[test]
@@ -364,5 +439,151 @@ mod proptests {
                 prop_assert!(p.distance_to_point(q) < 1e-6);
             }
         }
+
+        /// `point_at`, `heading_at` and a cursor walking the same offsets
+        /// (sorted, then in generated order) equal the binary-search
+        /// oracle bit for bit, on vertex offsets, zero-length segments and
+        /// offsets past either end.
+        #[test]
+        fn cursor_and_lookups_match_the_search_oracle(
+            p in arb_polyline_with_repeats(),
+            probes in proptest::collection::vec((0usize..4, 0f64..1.0), 1..40),
+        ) {
+            let mut offsets: Vec<f64> = probes.iter().map(|&(kind, u)| probe(&p, kind, u)).collect();
+            let mut walks = vec![offsets.clone()];
+            offsets.sort_by(f64::total_cmp);
+            walks.push(offsets);
+            for walk in walks {
+                let mut cursor = p.cursor();
+                for off in walk {
+                    let want_point = point_bits(point_at_reference(&p, off));
+                    let want_heading = heading_at_reference(&p, off).to_bits();
+                    prop_assert_eq!(point_bits(p.point_at(off)), want_point);
+                    prop_assert_eq!(p.heading_at(off).to_bits(), want_heading);
+                    prop_assert_eq!(cursor.heading_at(off).to_bits(), want_heading);
+                    prop_assert_eq!(point_bits(cursor.point_at(off)), want_point);
+                }
+            }
+        }
+
+        /// `join` builds exactly what appending the parts one at a time
+        /// builds, including the 1 mm join dedup.
+        #[test]
+        fn join_matches_the_extend_fold(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec((0usize..3, 0usize..3, 0usize..3), 2..5), proptest::bool::ANY),
+                0..6,
+            ),
+        ) {
+            // Grid vertices make joins coincide often; a 0.5 mm or 2 mm
+            // nudge lands just inside or outside the dedup tolerance.
+            let nudge = [0.0, 5e-4, 2e-3];
+            let parts: Vec<(Polyline, bool)> = raw
+                .into_iter()
+                .map(|(v, rev)| {
+                    let verts = v
+                        .into_iter()
+                        .map(|(x, y, n)| Point::new(x as f64 + nudge[n], y as f64))
+                        .collect();
+                    (Polyline::new(verts).unwrap(), rev)
+                })
+                .collect();
+            let got = Polyline::join(parts.iter().map(|(p, rev)| (p, *rev)));
+            let want = join_reference(&parts);
+            prop_assert_eq!(got.as_ref().map(line_bits), want.as_ref().map(line_bits));
+        }
+    }
+
+    /// Polylines whose vertices may repeat, giving zero-length segments
+    /// (a fully degenerate line included).
+    fn arb_polyline_with_repeats() -> impl Strategy<Value = Polyline> {
+        proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3, 0usize..3), 1..10).prop_map(|v| {
+            let mut verts = Vec::new();
+            for (x, y, repeats) in v {
+                verts.extend(std::iter::repeat(Point::new(x, y)).take(repeats + 1));
+            }
+            if verts.len() < 2 {
+                verts.push(verts[0]);
+            }
+            Polyline::new(verts).unwrap()
+        })
+    }
+
+    /// A probe offset: a vertex offset, an interior offset, or one before
+    /// the start or past the end.
+    fn probe(p: &Polyline, kind: usize, u: f64) -> f64 {
+        match kind {
+            0 => p.cum[((u * p.cum.len() as f64) as usize).min(p.cum.len() - 1)],
+            1 => u * p.length(),
+            2 => -1.0 - 10.0 * u,
+            _ => p.length() + 1.0 + 10.0 * u,
+        }
+    }
+
+    fn point_bits(p: Point) -> (u64, u64) {
+        (p.x.to_bits(), p.y.to_bits())
+    }
+
+    fn line_bits(p: &Polyline) -> (Vec<(u64, u64)>, Vec<u64>) {
+        (
+            p.vertices.iter().map(|&v| point_bits(v)).collect(),
+            p.cum.iter().map(|c| c.to_bits()).collect(),
+        )
+    }
+
+    /// Binary-search oracle for `point_at`.
+    fn point_at_reference(p: &Polyline, offset: f64) -> Point {
+        let offset = offset.clamp(0.0, p.length());
+        let i = match p.cum.binary_search_by(|c| c.total_cmp(&offset)) {
+            Ok(i) => i.min(p.num_segments()),
+            Err(i) => i - 1,
+        };
+        if i >= p.num_segments() {
+            return p.end();
+        }
+        let seg_len = p.cum[i + 1] - p.cum[i];
+        let t = if seg_len > 0.0 { (offset - p.cum[i]) / seg_len } else { 0.0 };
+        p.segment(i).point_at(t)
+    }
+
+    /// Binary-search oracle for `heading_at`, with its own zero-length
+    /// segment scan.
+    fn heading_at_reference(p: &Polyline, offset: f64) -> f64 {
+        let offset = offset.clamp(0.0, p.length());
+        let mut i = match p.cum.binary_search_by(|c| c.total_cmp(&offset)) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        };
+        if i >= p.num_segments() {
+            i = p.num_segments() - 1;
+        }
+        let mut j = i;
+        while j < p.num_segments() && p.segment(j).length() == 0.0 {
+            j += 1;
+        }
+        if j >= p.num_segments() {
+            j = i.min(p.num_segments() - 1);
+        }
+        p.segment(j).heading()
+    }
+
+    /// Oracle for `join`: each part appended to the running line, which
+    /// is rebuilt from scratch every time.
+    fn join_reference(parts: &[(Polyline, bool)]) -> Option<Polyline> {
+        let mut out: Option<Polyline> = None;
+        for (part, rev) in parts {
+            let part = if *rev { part.reversed() } else { part.clone() };
+            match &mut out {
+                None => out = Some(part),
+                Some(line) => {
+                    let mut verts = std::mem::take(&mut line.vertices);
+                    let skip_first = verts.last().is_some_and(|p| p.distance(part.start()) < 1e-3);
+                    let tail = if skip_first { &part.vertices[1..] } else { &part.vertices[..] };
+                    verts.extend_from_slice(tail);
+                    *line = Polyline::new(verts).unwrap();
+                }
+            }
+        }
+        out
     }
 }

@@ -60,20 +60,10 @@ impl RoutePath {
     ///
     /// Returns `None` for a trivial path (source == target, no edges).
     pub fn polyline(&self, graph: &RoadGraph) -> Option<Polyline> {
-        let mut out: Option<Polyline> = None;
-        for (i, &eid) in self.edges.iter().enumerate() {
+        Polyline::join(self.edges.iter().zip(&self.nodes).map(|(&eid, &at)| {
             let e = graph.edge(eid);
-            let part = if e.from == self.nodes[i] {
-                e.geometry.clone()
-            } else {
-                e.geometry.reversed()
-            };
-            match &mut out {
-                None => out = Some(part),
-                Some(g) => g.extend_with(&part),
-            }
-        }
-        out
+            (&e.geometry, e.from != at)
+        }))
     }
 
     /// Traffic-element id sequence of the path, in travel order.

@@ -305,7 +305,6 @@ impl RoadGraph {
         let to = node_of.get(&end_key).copied().unwrap_or(from);
 
         // Merge geometry and attributes.
-        let mut geometry: Option<Polyline> = None;
         let mut ids = Vec::with_capacity(chain.len());
         let mut speed_limit = f64::INFINITY;
         let mut class = FunctionalClass::Local;
@@ -317,11 +316,6 @@ impl RoadGraph {
             speed_limit = speed_limit.min(e.speed_limit_kmh);
             if e.class.level() < class.level() {
                 class = e.class;
-            }
-            let part = if rev { e.geometry.reversed() } else { e.geometry.clone() };
-            match &mut geometry {
-                None => geometry = Some(part),
-                Some(g) => g.extend_with(&part),
             }
             // Traversal in chain direction is "forward" for the edge.
             let (fwd, bwd) = if rev {
@@ -335,7 +329,8 @@ impl RoadGraph {
         if !forward_ok && !backward_ok {
             return Err(GraphError::ImpassableChain { elements: ids });
         }
-        let Some(geometry) = geometry else {
+        let parts = chain.iter().map(|&(i, rev)| (&elements[i].geometry, rev));
+        let Some(geometry) = Polyline::join(parts) else {
             return Err(GraphError::Inconsistent("chain walk produced no geometry"));
         };
         let length_m = geometry.length();

@@ -147,35 +147,26 @@ pub fn save_sessions(path: &Path, sessions: &[RawTrip]) -> Result<(), StoreError
 /// Writes sessions to `path` as a v3 container (offset index + CRC'd
 /// record frames) stamped with the given config fingerprint. The write is
 /// atomic: temp file + fsync + rename.
+///
+/// The image is built in one buffer: the offset index is laid down as
+/// zeros and each slot is patched as its record is framed.
 pub fn save_sessions_tagged(
     path: &Path,
     sessions: &[RawTrip],
     fingerprint: u64,
 ) -> Result<(), StoreError> {
-    let count = checked_u64(sessions.len(), "session count")?;
     let mut out = BytesMut::new();
-    out.put_slice(&MAGIC_V3);
-    out.put_u64_le(fingerprint);
-    out.put_u64_le(count);
-    let header_crc = crc32(&out);
-    out.put_u32_le(header_crc);
-
-    // Frame the records first so the index can be laid down before them.
-    let body_start = V2_HEADER_LEN + sessions.len() * 8 + V3_INDEX_CRC_LEN;
-    let mut index = BytesMut::with_capacity(sessions.len() * 8);
-    let mut body = BytesMut::new();
-    let mut buf = BytesMut::new();
-    for s in sessions {
-        index.put_u64_le(checked_u64(body_start + body.len(), "record offset")?);
-        buf.clear();
-        encode_session(&mut buf, s)?;
-        body.put_u64_le(checked_u64(buf.len(), "session record length")?);
-        body.put_u32_le(crc32(&buf));
-        body.put_slice(&buf);
+    put_header(&mut out, MAGIC_V3, fingerprint, sessions.len())?;
+    let index_start = out.len();
+    let index_end = index_start + sessions.len() * 8;
+    out.put_bytes(0, index_end - index_start + V3_INDEX_CRC_LEN);
+    for (slot, s) in (index_start..index_end).step_by(8).zip(sessions) {
+        let offset = checked_u64(out.len(), "record offset")?;
+        out[slot..slot + 8].copy_from_slice(&offset.to_le_bytes());
+        put_frame(&mut out, s)?;
     }
-    out.put_slice(&index);
-    out.put_u32_le(crc32(&index));
-    out.put_slice(&body);
+    let index_crc = crc32(&out[index_start..index_end]);
+    out[index_end..index_end + V3_INDEX_CRC_LEN].copy_from_slice(&index_crc.to_le_bytes());
     write_atomic(path, &out)?;
     Ok(())
 }
@@ -188,22 +179,43 @@ pub fn save_sessions_v2_tagged(
     sessions: &[RawTrip],
     fingerprint: u64,
 ) -> Result<(), StoreError> {
-    let count = checked_u64(sessions.len(), "session count")?;
     let mut out = BytesMut::new();
-    out.put_slice(&MAGIC_V2);
-    out.put_u64_le(fingerprint);
-    out.put_u64_le(count);
-    let header_crc = crc32(&out);
-    out.put_u32_le(header_crc);
-    let mut buf = BytesMut::new();
+    put_header(&mut out, MAGIC_V2, fingerprint, sessions.len())?;
     for s in sessions {
-        buf.clear();
-        encode_session(&mut buf, s)?;
-        out.put_u64_le(checked_u64(buf.len(), "session record length")?);
-        out.put_u32_le(crc32(&buf));
-        out.put_slice(&buf);
+        put_frame(&mut out, s)?;
     }
     write_atomic(path, &out)?;
+    Ok(())
+}
+
+/// Appends the fixed header: magic, fingerprint, record count and the
+/// CRC of those 24 bytes.
+fn put_header(
+    out: &mut BytesMut,
+    magic: [u8; 8],
+    fingerprint: u64,
+    count: usize,
+) -> Result<(), StoreError> {
+    let start = out.len();
+    out.put_slice(&magic);
+    out.put_u64_le(fingerprint);
+    out.put_u64_le(checked_u64(count, "session count")?);
+    let crc = crc32(&out[start..]);
+    out.put_u32_le(crc);
+    Ok(())
+}
+
+/// Appends one record frame: the session is encoded in place after a
+/// zeroed length + CRC slot, which is then patched.
+fn put_frame(out: &mut BytesMut, s: &RawTrip) -> Result<(), StoreError> {
+    let frame = out.len();
+    let payload = frame + V2_FRAME_LEN;
+    out.put_bytes(0, V2_FRAME_LEN);
+    encode_session(out, s)?;
+    let len = checked_u64(out.len() - payload, "session record length")?;
+    let crc = crc32(&out[payload..]);
+    out[frame..frame + 8].copy_from_slice(&len.to_le_bytes());
+    out[frame + 8..payload].copy_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 

@@ -24,10 +24,28 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Streaming form of [`crc32`]: seed with [`CRC32_INIT`], fold chunks,
 /// finish by XOR-ing [`CRC32_XOROUT`].
+///
+/// Slicing-by-8: each 8-byte word is folded through eight tables at once
+/// (table `k` advances a byte's contribution by `k` further zero bytes),
+/// and the tail shorter than a word goes through the bytewise loop.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = state;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -37,11 +55,13 @@ pub const CRC32_INIT: u32 = 0xFFFF_FFFF;
 /// Final XOR applied to the CRC-32 state.
 pub const CRC32_XOROUT: u32 = 0xFFFF_FFFF;
 
-/// The reflected CRC-32 lookup table, built at compile time.
-static CRC32_TABLE: [u32; 256] = crc32_table();
+/// The slicing-by-8 tables, built at compile time. Table 0 is the
+/// classic reflected byte table; table `k` is table `k - 1` advanced by
+/// one more zero byte.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -50,10 +70,20 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Writes `bytes` to `path` atomically: the data goes to a `.tmp`
@@ -93,6 +123,57 @@ mod tests {
         let state = crc32_update(CRC32_INIT, b"12345");
         let state = crc32_update(state, b"6789");
         assert_eq!(state ^ CRC32_XOROUT, crc32(b"123456789"));
+    }
+
+    /// The bytewise table loop: the oracle for slicing-by-8.
+    fn crc32_update_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        let mut crc = state;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_loop() {
+        // Deterministic pseudo-random bytes (xorshift), every length
+        // 0..64, split at every point, so each word/tail boundary is hit.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..64)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for len in 0..=data.len() {
+            let bytes = &data[..len];
+            let want = crc32_update_bytewise(CRC32_INIT, bytes);
+            assert_eq!(crc32_update(CRC32_INIT, bytes), want, "len {len}");
+            assert_eq!(crc32(bytes), want ^ CRC32_XOROUT, "len {len}");
+            for split in 0..=len {
+                let state = crc32_update(CRC32_INIT, &bytes[..split]);
+                assert_eq!(crc32_update(state, &bytes[split..]), want, "len {len} split {split}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Longer random inputs, folded in two pieces at a random split.
+        #[test]
+        fn slicing_by_8_equals_the_bytewise_loop_at_random_splits(
+            bytes in proptest::collection::vec(0u16..256, 0..600),
+            at in 0f64..1.0,
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            let split = (at * bytes.len() as f64) as usize;
+            let state = crc32_update(CRC32_INIT, &bytes[..split]);
+            proptest::prop_assert_eq!(
+                crc32_update(state, &bytes[split..]),
+                crc32_update_bytewise(CRC32_INIT, &bytes)
+            );
+        }
     }
 
     #[test]

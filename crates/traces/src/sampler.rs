@@ -78,16 +78,21 @@ impl Sampler {
             return true;
         };
         let c = &self.config;
-        let moved = pos.distance(last.pos);
         let dt = (time - last.time).secs();
         let stationary = speed_kmh < 2.0 && last.speed_kmh < 2.0;
         let heartbeat =
             if stationary { c.stationary_heartbeat_s } else { c.moving_heartbeat_s };
-        let emit = (heading_diff_deg(heading_deg, last.heading_deg) > c.heading_change_deg
-            && moved >= c.min_move_m)
-            || (speed_kmh - last.speed_kmh).abs() > c.speed_change_kmh
-            || moved > c.max_distance_m
-            || dt >= heartbeat;
+        // The cheap triggers go first, so the distance and the heading
+        // change are only computed when neither fires.
+        let emit = (speed_kmh - last.speed_kmh).abs() > c.speed_change_kmh
+            || dt >= heartbeat
+            || {
+                let moved = pos.distance(last.pos);
+                moved > c.max_distance_m
+                    || (moved >= c.min_move_m
+                        && heading_diff_deg(heading_deg, last.heading_deg)
+                            > c.heading_change_deg)
+            };
         if emit {
             self.last = Some(EmittedState { time, pos, speed_kmh, heading_deg });
         }

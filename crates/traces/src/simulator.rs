@@ -3,9 +3,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use taxitrace_geo::Point;
 use taxitrace_roadnet::synth::SyntheticCity;
-use taxitrace_roadnet::{
-    dijkstra, CostModel, ElementId, NodeId, RoutePath, SearchState, TrafficElement,
-};
+use taxitrace_roadnet::{dijkstra, CostModel, ElementId, NodeId, RoutePath, SearchState};
 use taxitrace_timebase::{study_period_start, Duration, Season, Timestamp};
 use taxitrace_weather::WeatherModel;
 
@@ -144,6 +142,17 @@ pub struct FleetData {
     /// (reported as the `exec.shard_units` metric by the pipeline).
     #[serde(default)]
     pub shard_count: usize,
+    /// Customer legs a route was found for, summed over shards. Unlike
+    /// [`FleetData::total_legs`], this also counts legs that record no
+    /// truth trip because the route was trivial or shorter than 1 m.
+    #[serde(default)]
+    pub routed_legs: u64,
+    /// Kinematic integration steps over every driven leg.
+    #[serde(default)]
+    pub steps: u64,
+    /// Nodes expanded by the route-choice A* searches.
+    #[serde(default)]
+    pub route_expanded: u64,
 }
 
 impl FleetData {
@@ -181,11 +190,21 @@ pub fn simulate_fleet(
     config: &FleetConfig,
 ) -> FleetData {
     let shards = plan_shards(config);
+    let elem_len: HashMap<ElementId, f64> =
+        city.elements.iter().map(|e| (e.id, e.length())).collect();
+    let edges = city.graph.edges();
     let ctx = FleetCtx {
         city,
         weather,
         config,
-        elem_index: city.elements.iter().map(|e| (e.id, e)).collect(),
+        edge_elements: edges
+            .iter()
+            .map(|e| e.elements.iter().map(|id| (*id, elem_len[id])).collect())
+            .collect(),
+        edge_costs: edges
+            .iter()
+            .map(|e| (CostModel::TravelTime.cost(e), e.length_m))
+            .collect(),
         core_nodes: core_node_weights(city),
         od_names: city
             .od_roads
@@ -193,13 +212,31 @@ pub fn simulate_fleet(
             .map(|r| (r.outer_node, r.name.as_str()))
             .collect(),
     };
-    let (per_shard, _states) =
-        taxitrace_exec::par_map_init(&shards, SearchState::new, |search, shard| {
-            simulate_day(search, &ctx, shard)
+    let (per_shard, workers) =
+        taxitrace_exec::par_map_init(&shards, Worker::default, |worker, shard| {
+            simulate_day(worker, &ctx, shard)
         });
     let mut sessions: Vec<RawTrip> = per_shard.into_iter().flatten().collect();
     sessions.sort_by_key(|s| (s.taxi, s.start_time));
-    FleetData { sessions, shard_count: shards.len() }
+    FleetData {
+        sessions,
+        shard_count: shards.len(),
+        routed_legs: workers.iter().map(|w| w.routed_legs).sum(),
+        steps: workers.iter().map(|w| w.steps).sum(),
+        route_expanded: workers.iter().map(|w| w.search.expanded_total()).sum(),
+    }
+}
+
+/// One executor worker's scratch, reused across the shards it claims:
+/// the route search state, the route-choice weight buffer, and the work
+/// counters [`FleetData`] sums.
+#[derive(Default)]
+struct Worker {
+    search: SearchState,
+    /// The current leg's perturbed edge weights, by edge id.
+    weights: Vec<f64>,
+    routed_legs: u64,
+    steps: u64,
 }
 
 /// One (taxi, day) unit of fleet work, fully planned up front so the unit
@@ -219,7 +256,11 @@ struct FleetCtx<'a> {
     city: &'a SyntheticCity,
     weather: &'a WeatherModel,
     config: &'a FleetConfig,
-    elem_index: HashMap<ElementId, &'a TrafficElement>,
+    /// Each edge's traffic elements and their lengths, in edge direction,
+    /// by edge id.
+    edge_elements: Vec<Vec<(ElementId, f64)>>,
+    /// Each edge's free-flow travel time and length, by edge id.
+    edge_costs: Vec<(f64, f64)>,
     core_nodes: (Vec<NodeId>, Vec<f64>),
     od_names: Vec<(NodeId, &'a str)>,
 }
@@ -284,14 +325,15 @@ struct Event {
     done: bool,
 }
 
-/// Simulates one (taxi, day) shard under its own derived RNG stream.
+/// Simulates one (taxi, day) shard under its own derived RNG stream,
+/// adding its work to `worker`'s counters.
 ///
 /// Overnight the taxi is off duty (parks, repositions, shift change), so
 /// each day's shift starts from an independently drawn node instead of
 /// chaining the previous day's drop-off — which is what makes day units
 /// independent work items.
 fn simulate_day(
-    search: &mut SearchState,
+    worker: &mut Worker,
     ctx: &FleetCtx<'_>,
     shard: &DayShard,
 ) -> Option<RawTrip> {
@@ -342,19 +384,24 @@ fn simulate_day(
             current_node,
             config.p_od_dest,
         );
-        let Some(route) =
-            choose_route(search, city, &mut rng, &profile, current_node, dest)
-        else {
+        let Some(route) = choose_route(
+            &mut worker.search,
+            &mut worker.weights,
+            ctx,
+            &mut rng,
+            &profile,
+            current_node,
+            dest,
+        ) else {
             continue;
         };
         let od_pair = od_pair_of(&ctx.od_names, current_node, dest);
-        drive_leg(
+        worker.routed_legs += 1;
+        worker.steps += drive_leg(
             &mut sb,
             &mut rng,
-            city,
-            config,
+            ctx,
             &profile,
-            &ctx.elem_index,
             &route,
             speed_env,
             od_pair,
@@ -457,79 +504,68 @@ fn od_pair_of(
 /// searched goal-directed. The heuristic scale is the tightest admissible
 /// one for this trip's weights: the minimum perturbed cost-per-metre over
 /// all edges, so `weight(e) >= h_scale * length(e)` holds edge by edge and
-/// the weighted A* returns exactly what the blind search would.
+/// the weighted A* returns exactly what the blind search would. One pass
+/// draws every edge's noise in edge order, stores its weight in `weights`
+/// and folds the scale.
 fn choose_route(
     search: &mut SearchState,
-    city: &SyntheticCity,
+    weights: &mut Vec<f64>,
+    ctx: &FleetCtx<'_>,
     rng: &mut Rng,
     profile: &DriverProfile,
     from: NodeId,
     to: NodeId,
 ) -> Option<RoutePath> {
-    let noise: Vec<f64> = (0..city.graph.num_edges())
-        .map(|_| (profile.route_noise * rng.normal()).exp())
-        .collect();
-    let h_scale = city
-        .graph
-        .edges()
-        .iter()
-        .map(|e| CostModel::TravelTime.cost(e) * noise[e.id.0 as usize] / e.length_m)
-        .fold(f64::INFINITY, f64::min)
-        .max(0.0);
+    weights.clear();
+    let mut h_scale = f64::INFINITY;
+    for &(cost, len) in &ctx.edge_costs {
+        let weight = cost * (profile.route_noise * rng.normal()).exp();
+        weights.push(weight);
+        h_scale = h_scale.min(weight / len);
+    }
+    let h_scale = h_scale.max(0.0);
     let h_scale = if h_scale.is_finite() { h_scale } else { 0.0 };
-    dijkstra::astar_weighted_with(search, &city.graph, from, to, |e| {
-        CostModel::TravelTime.cost(e) * noise[e.id.0 as usize]
-    }, h_scale)
+    let graph = &ctx.city.graph;
+    dijkstra::astar_weighted_with(search, graph, from, to, |e| weights[e.id.0 as usize], h_scale)
 }
 
+/// Drives one customer leg along `route`, feeding the session builder;
+/// returns the kinematic integration steps taken.
 #[allow(clippy::too_many_arguments)]
 fn drive_leg(
     sb: &mut SessionBuilder,
     rng: &mut Rng,
-    city: &SyntheticCity,
-    config: &FleetConfig,
+    ctx: &FleetCtx<'_>,
     profile: &DriverProfile,
-    elem_index: &HashMap<ElementId, &TrafficElement>,
     route: &RoutePath,
     speed_env: f64,
     od_pair: Option<(String, String)>,
     origin: NodeId,
     dest: NodeId,
-) {
-    let Some(line) = route.polyline(&city.graph) else { return };
+) -> u64 {
+    let FleetCtx { city, config, .. } = *ctx;
+    let Some(line) = route.polyline(&city.graph) else { return 0 };
     let total = line.length();
     if total < 1.0 {
-        return;
+        return 0;
     }
 
-    // --- Element spans along the route. ---
+    // --- Element spans and speed-limit spans along the route. ---
     let mut spans: Vec<ElemSpan> = Vec::new();
-    {
-        let mut off = 0.0;
-        for (i, &eid) in route.edges.iter().enumerate() {
-            let edge = city.graph.edge(eid);
-            let fwd = edge.from == route.nodes[i];
-            let elems: Vec<ElementId> = if fwd {
-                edge.elements.clone()
-            } else {
-                edge.elements.iter().rev().copied().collect()
-            };
-            for el in elems {
-                let len = elem_index[&el].length();
-                spans.push(ElemSpan { id: el, route_start: off, len, reversed: !fwd });
-                off += len;
-            }
-        }
-    }
-
-    // --- Speed-limit spans per edge. ---
     let mut limits: Vec<(f64, f64)> = Vec::new(); // (route_end_offset, limit m/s)
     {
-        let mut off = 0.0;
-        for &eid in &route.edges {
+        let (mut span_off, mut limit_off) = (0.0, 0.0);
+        for (&eid, &at) in route.edges.iter().zip(&route.nodes) {
             let edge = city.graph.edge(eid);
-            off += edge.length_m;
-            limits.push((off, edge.speed_limit_kmh / 3.6));
+            let reversed = edge.from != at;
+            let elems = &ctx.edge_elements[eid.0 as usize];
+            for k in 0..elems.len() {
+                let (id, len) = elems[if reversed { elems.len() - 1 - k } else { k }];
+                spans.push(ElemSpan { id, route_start: span_off, len, reversed });
+                span_off += len;
+            }
+            limit_off += edge.length_m;
+            limits.push((limit_off, edge.speed_limit_kmh / 3.6));
         }
     }
 
@@ -572,11 +608,12 @@ fn drive_leg(
     {
         let verts = line.vertices();
         let mut off = 0.0;
+        let mut h_in = verts[0].heading_to(verts[1]);
         for i in 1..verts.len() - 1 {
             off += verts[i - 1].distance(verts[i]);
-            let h1 = verts[i - 1].heading_to(verts[i]);
-            let h2 = verts[i].heading_to(verts[i + 1]);
-            let turn = taxitrace_geo::heading_diff_deg(h1, h2);
+            let h_out = verts[i].heading_to(verts[i + 1]);
+            let turn = taxitrace_geo::heading_diff_deg(h_in, h_out);
+            h_in = h_out;
             if turn > 60.0 {
                 events.push(Event { offset: off, kind: EventKind::SlowTo { v_ms: 4.2 }, done: false });
             } else if turn > 35.0 {
@@ -611,9 +648,10 @@ fn drive_leg(
     // Crowd-zone micro-stops: pedestrians stepping onto the street force
     // queue-like stop-and-go (several seconds each, repeatedly).
     for zone in &config.crowd_zones {
+        let mut cursor = line.cursor();
         let mut s = 0.0;
         while s < total {
-            if zone.contains(line.point_at(s)) && rng.chance(zone.micro_stop_per_100m) {
+            if zone.contains(cursor.point_at(s)) && rng.chance(zone.micro_stop_per_100m) {
                 events.push(Event {
                     offset: s + rng.range(0.0, 100.0_f64.min(total - s)),
                     kind: EventKind::Stop { dwell_s: rng.range(4.0, 16.0) },
@@ -635,11 +673,18 @@ fn drive_leg(
     let start_seq = sb.next_seq;
     let max_steps = (3.0 * 3600.0 / dt) as usize; // 3 h safety cap
     let decel = profile.decel_ms2;
+    let mut steps = 0u64;
+    // The route only moves forward, so one cursor serves every lookup.
+    // `pos` is the true position at `s`: each step's post-step point is
+    // the next step's start, since `s < total - 0.5` at the loop top.
+    let mut cursor = line.cursor();
+    let mut pos = cursor.point_at(s);
 
     for _ in 0..max_steps {
         if s >= total - 0.5 {
             break;
         }
+        steps += 1;
         while limit_idx + 1 < limits.len() && s > limits[limit_idx].0 {
             limit_idx += 1;
         }
@@ -652,7 +697,6 @@ fn drive_leg(
             next_event += 1;
         }
 
-        let pos = line.point_at(s);
         // Cruise target with environment and crowd factors.
         let mut cruise = limits[limit_idx].1 * profile.speed_factor * speed_env;
         for zone in &config.crowd_zones {
@@ -706,9 +750,10 @@ fn drive_leg(
         sb.fuel += config.fuel.step_ml(v, a, dt);
         sb.dist_m += v * dt;
 
-        let heading = line.heading_at(s.min(total));
+        let heading = cursor.heading_at(s.min(total));
+        pos = cursor.point_at(s.min(total));
         let elem = spans.get(span_idx).map(|sp| sp.id);
-        sb.observe(rng, line.point_at(s.min(total)), v * 3.6, heading, elem);
+        sb.observe(rng, pos, v * 3.6, heading, elem);
 
         // Handle every reached event, not just the frontmost: a single
         // step can overshoot several events, and an unexpired SlowTo in
@@ -737,12 +782,12 @@ fn drive_leg(
             k += 1;
         }
         if total_dwell > 0.0 {
-            sb.dwell_on_route(rng, total_dwell, line.point_at(s.min(total)), heading, elem);
+            sb.dwell_on_route(rng, total_dwell, pos, heading, elem);
         }
     }
     // Final point at the destination with v = 0.
     let end_elem = spans.last().map(|sp| sp.id);
-    sb.force_emit(rng, line.end(), 0.0, line.heading_at(total), end_elem);
+    sb.force_emit(rng, line.end(), 0.0, cursor.heading_at(total), end_elem);
 
     let end_seq = sb.next_seq.saturating_sub(1);
     if end_seq > start_seq {
@@ -755,6 +800,7 @@ fn drive_leg(
             od_pair,
         });
     }
+    steps
 }
 
 /// Builds one session's point stream.

@@ -311,6 +311,14 @@ same_as_batch() {
     }
 }
 ./target/release/repro --scale 0.05 store-save "$fddir/trips.tts" > /dev/null 2>&1
+# The saved image itself is pinned byte for byte: the study fingerprint
+# does not cover the stored raw points, so a simulator or store-writer
+# change that alters one stored bit fails here.
+store_sha=$(sha256sum "$fddir/trips.tts" | cut -d' ' -f1)
+[ "$store_sha" = "c8ec2b923b3734e133abc74f1cb2aad5f6c75cff760d6867cc2014053f1e9622" ] || {
+    echo "verify: scale 0.05 store image sha256 $store_sha != pinned c8ec2b92...9622" >&2
+    exit 1
+}
 same_as_batch "--store replay" "$(front_door_fp --store "$fddir/trips.tts")"
 same_as_batch "first --checkpoint-dir run" "$(front_door_fp --checkpoint-dir "$fddir/ck")"
 for stage in simulate clean od; do
@@ -321,7 +329,7 @@ for stage in simulate clean od; do
 done
 same_as_batch "second --checkpoint-dir run" "$(front_door_fp --checkpoint-dir "$fddir/ck")"
 rm -rf "$fddir"
-echo "front-door smoke OK: store replay and checkpoint resume print $fp_small"
+echo "front-door smoke OK: store image pinned; store replay and checkpoint resume print $fp_small"
 
 # Serve smoke: start the HTTP query service on an ephemeral port, issue
 # one query of each kind, and check (a) every route answers canonical

@@ -59,7 +59,12 @@ struct Surface {
 }
 
 const SIMULATED: Surface = Surface {
-    extra_counters: &["exec.shard_units"],
+    extra_counters: &[
+        "exec.shard_units",
+        "sim.route_expanded",
+        "sim.routed_legs",
+        "sim.steps",
+    ],
     spans: &[
         "study/simulate",
         "study/simulate/city",

@@ -3,7 +3,9 @@
 //! reloaded store.
 
 use taxi_traces::cleaning::{clean_session, CleaningConfig};
+use taxi_traces::core::{Study, StudyConfig};
 use taxi_traces::roadnet::synth::{generate, OuluConfig};
+use taxi_traces::serve::fnv1a;
 use taxi_traces::store::{Query, TripStore};
 use taxi_traces::timebase::Timestamp;
 use taxi_traces::traces::{simulate_fleet, FleetConfig, TaxiId};
@@ -43,6 +45,22 @@ fn save_load_preserves_everything() {
         assert_eq!(ca.segments.len(), cb.segments.len());
         assert_eq!(ca.stats.rule_fires_total(), cb.stats.rule_fires_total());
     }
+}
+
+/// The store image `StudyConfig::quick(7)` saves, pinned byte for byte:
+/// every raw point and ground-truth leg the simulator produced, and the v3
+/// layout around them (header, offset index, CRC framing). The study
+/// fingerprint does not cover the stored sessions, so this pin is what
+/// fails when the simulator or the store writer changes one output bit.
+#[test]
+fn quick_study_store_image_is_pinned() {
+    let sim = Study::new(StudyConfig::quick(7)).simulate().expect("simulate");
+    let path = tmp_path("quick7_pinned.tts");
+    sim.save_store(&path).expect("save store");
+    let image = std::fs::read(&path).expect("read store");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(image.len(), 3_034_768, "store image length");
+    assert_eq!(fnv1a(&image), 0xFC52_8C4A_C241_C94A, "store image FNV-1a hash");
 }
 
 trait RuleFires {
