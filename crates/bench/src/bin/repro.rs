@@ -29,9 +29,9 @@
 //! `taxitrace_traces::FaultPlan::parse`) and runs the study under it:
 //! injected trace faults are quarantined, injected task panics are
 //! isolated, and stage error budgets decide whether the degraded run
-//! still counts. `--checkpoint-dir <dir>` checkpoints each completed
-//! stage there and resumes interrupted runs (chaos kills, failed
-//! checkpoint writes) from the last completed stage. A quarantine
+//! still counts. `--checkpoint-dir <dir>` checkpoints the simulated
+//! sessions there and resumes interrupted runs (chaos kills, failed
+//! checkpoint writes) from them, recomputing every later stage. A quarantine
 //! summary goes to stderr; stdout stays the byte-exact experiment
 //! surface.
 //!
@@ -284,7 +284,7 @@ fn study_config(args: &Args) -> StudyConfig {
 
 /// Runs the study once. Without `--checkpoint-dir` a failure is final;
 /// with it, an interrupted run (a chaos kill, a failed checkpoint write)
-/// is resumed from the last completed stage, a bounded number of times.
+/// is resumed from the `simulate` checkpoint, a bounded number of times.
 fn run_study(args: &Args) -> StudyOutput {
     let study = Study::new(study_config(args));
     let source = if let Some(csv) = &args.from_csv {

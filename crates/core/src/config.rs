@@ -5,6 +5,8 @@ use taxitrace_roadnet::synth::OuluConfig;
 use taxitrace_timebase::CivilDate;
 use taxitrace_traces::{FaultPlan, FleetConfig};
 
+use crate::checkpoint::CHECKPOINTED_STAGE;
+
 /// Configuration of a full study run. The entire study is a pure function
 /// of this value.
 ///
@@ -387,6 +389,17 @@ impl StudyConfig {
         }
         if let Some(plan) = &self.chaos {
             plan.validate().map_err(ConfigError::Chaos)?;
+            let stages = [
+                ("kill_after_stage", &plan.kill_after_stage),
+                ("fail_checkpoint_stage", &plan.fail_checkpoint_stage),
+            ];
+            for (key, stage) in stages {
+                if let Some(stage) = stage.as_deref().filter(|s| *s != CHECKPOINTED_STAGE) {
+                    return Err(ConfigError::Chaos(format!(
+                        "{key} {stage:?}: only the {CHECKPOINTED_STAGE} stage is checkpointed"
+                    )));
+                }
+            }
             if let Some(budget) = plan.error_budget {
                 if !budget.is_finite() || !(0.0..=1.0).contains(&budget) {
                     return Err(ConfigError::BadErrorBudget(budget));
@@ -488,5 +501,29 @@ mod tests {
             cfg.validate().expect_err("inf"),
             ConfigError::NonFiniteScale(_)
         ));
+    }
+
+    #[test]
+    fn only_the_checkpointed_stage_can_be_killed_or_failed() {
+        let with = |kill: &str, fail: Option<&str>| {
+            let mut cfg = StudyConfig::quick(1);
+            cfg.chaos = Some(FaultPlan {
+                kill_after_stage: Some(kill.into()),
+                fail_checkpoint_stage: fail.map(Into::into),
+                ..FaultPlan::default()
+            });
+            cfg.validate()
+        };
+        assert_eq!(with("simulate", Some("simulate")), Ok(()));
+        for stage in ["clean", "od", "simulte"] {
+            assert!(
+                matches!(with(stage, None), Err(ConfigError::Chaos(_))),
+                "{stage}"
+            );
+            assert!(
+                matches!(with("simulate", Some(stage)), Err(ConfigError::Chaos(_))),
+                "{stage}"
+            );
+        }
     }
 }

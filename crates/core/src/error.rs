@@ -48,7 +48,8 @@ pub enum Error {
         budget: f64,
     },
     /// A chaos plan killed the run after the named stage (the stage's
-    /// checkpoint is on disk; `Study::resume` must recover from here).
+    /// checkpoint is on disk; calling `Study::run_with_checkpoints` again
+    /// recovers from here).
     InjectedKill {
         /// The completed stage after which the kill fired.
         stage: String,

@@ -72,9 +72,6 @@ mod seasonal;
 mod transitions;
 
 pub use checkpoint::config_fingerprint;
-// Checkpoint-section codecs, shared with the stream-cursor checkpoint in
-// `taxitrace-stream`.
-pub use checkpoint::{decode_segments, decode_totals, encode_segments, encode_totals};
 pub use coach::{coach_report, CoachConfig, CoachEvent, TripReport};
 pub use export::export_csv;
 pub use config::{ConfigError, FaultConfig, StudyConfig, StudyConfigBuilder};

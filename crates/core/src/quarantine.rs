@@ -97,53 +97,6 @@ impl QuarantineReason {
             QuarantineReason::DanglingRef => "dangling_ref",
         }
     }
-
-    /// Checkpoint wire tag (stable across versions; do not reorder).
-    /// Public because the stream-cursor checkpoint encodes ledger entries
-    /// with the same tags.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            QuarantineReason::PositionJump => 0,
-            QuarantineReason::ClockSkew => 1,
-            QuarantineReason::Dropout => 2,
-            QuarantineReason::StuckSensor => 3,
-            QuarantineReason::UnmatchedGap => 4,
-            QuarantineReason::TaskPanic => 5,
-            QuarantineReason::CorruptRecord => 6,
-            QuarantineReason::TornTail => 7,
-            QuarantineReason::HeaderMismatch => 8,
-            QuarantineReason::LatePastWatermark => 9,
-            QuarantineReason::MalformedRecord => 10,
-            QuarantineReason::MalformedLine => 11,
-            QuarantineReason::NumericRange => 12,
-            QuarantineReason::SchemaMismatch => 13,
-            QuarantineReason::DuplicateTrip => 14,
-            QuarantineReason::DanglingRef => 15,
-        }
-    }
-
-    /// Inverse of [`Self::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => QuarantineReason::PositionJump,
-            1 => QuarantineReason::ClockSkew,
-            2 => QuarantineReason::Dropout,
-            3 => QuarantineReason::StuckSensor,
-            4 => QuarantineReason::UnmatchedGap,
-            5 => QuarantineReason::TaskPanic,
-            6 => QuarantineReason::CorruptRecord,
-            7 => QuarantineReason::TornTail,
-            8 => QuarantineReason::HeaderMismatch,
-            9 => QuarantineReason::LatePastWatermark,
-            10 => QuarantineReason::MalformedRecord,
-            11 => QuarantineReason::MalformedLine,
-            12 => QuarantineReason::NumericRange,
-            13 => QuarantineReason::SchemaMismatch,
-            14 => QuarantineReason::DuplicateTrip,
-            15 => QuarantineReason::DanglingRef,
-            _ => return None,
-        })
-    }
 }
 
 impl From<AnomalyKind> for QuarantineReason {
@@ -307,39 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn reason_wire_tags_round_trip() {
-        for reason in [
-            QuarantineReason::PositionJump,
-            QuarantineReason::ClockSkew,
-            QuarantineReason::Dropout,
-            QuarantineReason::StuckSensor,
-            QuarantineReason::UnmatchedGap,
-            QuarantineReason::TaskPanic,
-            QuarantineReason::CorruptRecord,
-            QuarantineReason::TornTail,
-            QuarantineReason::HeaderMismatch,
-            QuarantineReason::LatePastWatermark,
-            QuarantineReason::MalformedRecord,
-            QuarantineReason::MalformedLine,
-            QuarantineReason::NumericRange,
-            QuarantineReason::SchemaMismatch,
-            QuarantineReason::DuplicateTrip,
-            QuarantineReason::DanglingRef,
-        ] {
-            assert_eq!(QuarantineReason::from_wire_tag(reason.wire_tag()), Some(reason));
-        }
-        assert_eq!(QuarantineReason::from_wire_tag(99), None);
-    }
-
-    #[test]
     fn ingest_reasons_map_one_to_one() {
-        let mut tags = std::collections::BTreeSet::new();
+        let mut reasons = std::collections::BTreeSet::new();
         for r in taxitrace_ingest::IngestReason::ALL {
             let q: QuarantineReason = r.into();
             assert_eq!(q.label(), r.label(), "labels agree across the crate boundary");
-            assert!(tags.insert(q.wire_tag()), "distinct wire tags");
+            assert!(reasons.insert(q.label()), "distinct reasons");
         }
-        assert_eq!(tags, (11..=15).collect());
     }
 
     #[test]

@@ -163,22 +163,21 @@ fn kill_and_resume_is_byte_identical() {
     let dir = fresh_dir("kill-resume");
     let mut config = StudyConfig::quick(7);
     config.chaos = Some(FaultPlan {
-        kill_after_stage: Some("clean".into()),
+        kill_after_stage: Some("simulate".into()),
         ..faulty_plan()
     });
     let study = Study::new(config.clone());
 
-    // First run dies right after checkpointing the clean stage.
+    // First run dies right after checkpointing the simulate stage.
     match study.run_with_checkpoints(&dir) {
-        Err(Error::InjectedKill { stage }) => assert_eq!(stage, "clean"),
+        Err(Error::InjectedKill { stage }) => assert_eq!(stage, "simulate"),
         other => panic!("expected the injected kill, got {other:?}"),
     }
     assert!(dir.join("simulate.ttck").exists());
-    assert!(dir.join("clean.ttck").exists());
 
     // Resume completes from the checkpoint (the killed stage is loaded,
-    // not re-run, so the kill does not re-fire) and matches an unkilled
-    // run of the same config bit for bit.
+    // not re-run, so the kill does not re-fire), recomputes every later
+    // stage, and matches an unkilled run of the same config bit for bit.
     let resumed = study.run_with_checkpoints(&dir).expect("resume after kill");
     let unkilled = Study::new(config).run().expect("straight-through run");
     assert_same_results(&resumed, &unkilled);
@@ -228,8 +227,7 @@ fn stale_checkpoints_are_ignored_on_config_change() {
 fn checkpointed_run_equals_plain_run_when_healthy() {
     let dir = fresh_dir("healthy");
     let a = Study::new(StudyConfig::quick(5)).run_with_checkpoints(&dir).expect("first");
-    // A second call resumes from the od checkpoint and only re-runs the
-    // final stage.
+    // A second call loads the simulate checkpoint and recomputes the rest.
     let b = Study::new(StudyConfig::quick(5)).run_with_checkpoints(&dir).expect("second");
     let plain = Study::new(StudyConfig::quick(5)).run().expect("plain");
     assert_same_results(&a, &plain);

@@ -46,7 +46,6 @@ mod proj;
 mod rtree;
 mod segment;
 mod simplify;
-pub mod wkt;
 
 pub use angle::{angle_between_deg, heading_diff_deg, normalize_deg};
 pub use bbox::BBox;

@@ -594,6 +594,9 @@ mod tests {
             assert_eq!(a.axis.vertices(), b.axis.vertices());
         }
         assert_eq!(back.center_area, city.center_area);
+        // Export is deterministic, and export → ingest → export is a
+        // fixed point.
+        assert_eq!(export_osmx(&back), text, "re-export is byte-identical");
     }
 
     #[test]

@@ -30,7 +30,6 @@
 #![deny(missing_debug_implementations)]
 
 mod attributes;
-pub mod digiroad;
 pub mod dijkstra;
 mod element;
 mod graph;

@@ -397,6 +397,25 @@ mod tests {
         let se0 = fit.groups.iter().find(|g| g.key == 0).unwrap().se;
         let se1 = fit.groups.iter().find(|g| g.key == 1).unwrap().se;
         assert!(se0 > se1);
+        // Exactly: each BLUP is its cell-mean deviation from b̂₀ shrunk by
+        // λn/(1+λn) = σ²ᵤ/(σ²ᵤ+σ²ₑ/n).
+        for g in &fit.groups {
+            let ys: Vec<f64> = y
+                .iter()
+                .zip(&groups)
+                .filter(|(_, &k)| k == g.key)
+                .map(|(v, _)| *v)
+                .collect();
+            let mean = ys.iter().sum::<f64>() / ys.len() as f64;
+            let ln = fit.lambda * ys.len() as f64;
+            let want = ln / (1.0 + ln) * (mean - fit.fixed[0]);
+            assert!(
+                (g.blup - want).abs() <= 1e-9 * want.abs(),
+                "group {}: blup {} vs shrunk mean deviation {want}",
+                g.key,
+                g.blup
+            );
+        }
     }
 
     #[test]

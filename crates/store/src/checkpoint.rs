@@ -1,13 +1,12 @@
 //! Stage checkpoint container: named binary sections behind a magic and a
 //! config fingerprint.
 //!
-//! The staged pipeline persists one checkpoint file per completed stage so
-//! a killed run can resume from the last stage boundary instead of
-//! recomputing a simulated year. The container is deliberately dumb: it
-//! knows nothing about stage payloads, only about framing them. Stages
-//! encode their own sections with the [`crate::codec`] wire primitives,
-//! which keeps resume byte-identical — the same encoder produces the same
-//! bytes whether a stage ran live or was reloaded.
+//! The study persists its simulated sessions (`simulate.ttck`) and the
+//! stream its feed cursor (`stream.ttck`) so a killed run can resume
+//! instead of re-simulating a year; everything derived is recomputed. The
+//! container is deliberately dumb: it knows nothing about payloads, only
+//! about framing them. Callers encode their own sections with the
+//! [`crate::codec`] wire primitives.
 //!
 //! Layout, v2 (all integers little-endian):
 //!

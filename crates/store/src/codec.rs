@@ -728,7 +728,7 @@ fn checked_u32(n: usize, what: &str) -> Result<u32, StoreError> {
 
 /// The wire format carries taxi ids in one byte; a wider in-memory id is
 /// a typed encode error rather than silent truncation.
-pub fn checked_taxi(taxi: TaxiId) -> Result<u8, StoreError> {
+fn checked_taxi(taxi: TaxiId) -> Result<u8, StoreError> {
     u8::try_from(taxi.0).map_err(|_| {
         StoreError::BadFormat(format!(
             "taxi id {} exceeds the wire format's cap of {}",
@@ -746,8 +746,8 @@ fn finite(v: f64, what: &str) -> Result<f64, StoreError> {
     }
 }
 
-/// Encodes one session in the store's wire format (exposed so stage
-/// checkpoints can embed session payloads; see `checkpoint`). Rejects
+/// Encodes one session in the store's wire format (exposed so the
+/// `simulate` checkpoint can embed session payloads). Rejects
 /// non-finite floats and counts that overflow their wire width rather
 /// than writing a record that cannot round-trip.
 pub fn encode_session(buf: &mut BytesMut, s: &RawTrip) -> Result<(), StoreError> {
@@ -769,8 +769,8 @@ pub fn encode_session(buf: &mut BytesMut, s: &RawTrip) -> Result<(), StoreError>
     Ok(())
 }
 
-/// Encodes one route point (wire primitive for stage checkpoints).
-pub fn encode_point(buf: &mut BytesMut, p: &RoutePoint) -> Result<(), StoreError> {
+/// Encodes one route point.
+fn encode_point(buf: &mut BytesMut, p: &RoutePoint) -> Result<(), StoreError> {
     buf.put_u64_le(p.point_id);
     buf.put_f64_le(finite(p.geo.lon, "geo.lon")?);
     buf.put_f64_le(finite(p.geo.lat, "geo.lat")?);
@@ -869,7 +869,7 @@ fn take_count(b: &mut Bytes, min_elem_size: usize, what: &str) -> Result<usize, 
 
 /// Decodes one route point; `trip_id`/`taxi` come from the enclosing
 /// record (points do not repeat them on the wire).
-pub fn decode_point(b: &mut Bytes, trip_id: TripId, taxi: TaxiId) -> Result<RoutePoint, StoreError> {
+fn decode_point(b: &mut Bytes, trip_id: TripId, taxi: TaxiId) -> Result<RoutePoint, StoreError> {
     Ok(RoutePoint {
         point_id: take_u64(b)?,
         trip_id,

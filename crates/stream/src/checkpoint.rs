@@ -2,66 +2,30 @@
 //!
 //! Mid-stream kill/resume reuses the store's TTCK checkpoint container
 //! (CRC-framed sections, atomic rename — see `taxitrace-store`). A stream
-//! checkpoint does **not** persist open-trip buffers or watermark state:
-//! the feed is deterministic, so a resuming run replays records
-//! `0..cursor` through the watermark machine in quiet mode (no metrics,
-//! no quarantine, no downstream work) to rebuild them exactly. What *is*
-//! persisted is everything replay would otherwise redo or lose:
-//!
-//! * `stream/cursor` — records consumed, plus persisted counter values so
-//!   cumulative totals survive the kill;
-//! * `stream/totals` — the aggregate [`CleaningTotals`] absorbed so far;
-//! * `stream/sessions` — per closed session: its cleaned segments (the
-//!   shared `taxitrace-core` segment codec) or its clean-stage
-//!   quarantine entry;
-//! * `stream/quarantine` — stream-stage entries (late-past-watermark,
-//!   malformed) in feed order, encoded with the ledger's wire tags.
+//! checkpoint persists one section, `stream/cursor`: the number of feed
+//! records consumed plus the persisted counter values, so cumulative
+//! totals survive the kill. Nothing derived is stored. The feed is
+//! deterministic, so a resuming run replays records `0..cursor` through
+//! the same watermark machine, trip closes and ledger filing as the live
+//! path, which rebuilds the open-trip buffers, the per-session products
+//! and the stream-stage ledger exactly.
 //!
 //! The file is keyed by a fingerprint of both the study config and the
 //! stream config: resuming under different watermark semantics would
 //! silently change which trips closed before the cursor, so it must
 //! start fresh instead.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
-use bytes::{BufMut, Bytes, BytesMut};
-use taxitrace_cleaning::TripSegment;
-use taxitrace_core::{
-    decode_segments, decode_totals, encode_segments, encode_totals, CleaningTotals, Error,
-    QuarantineEntry, QuarantineReason,
-};
-use taxitrace_store::codec::{put_str, take_str, take_u32, take_u64, take_u8};
+use bytes::{BufMut, BytesMut};
+use taxitrace_core::Error;
+use taxitrace_store::codec::{put_str, take_str, take_u32, take_u64};
 use taxitrace_store::{load_checkpoint, save_checkpoint};
 
 use crate::metrics::{StreamMetrics, PERSISTED_COUNTERS};
 
 /// File name inside the checkpoint directory.
 pub const STREAM_CHECKPOINT_FILE: &str = "stream.ttck";
-
-/// Products of one closed session, in the exact shape the batch clean
-/// stage would have produced for it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionProducts {
-    /// Cleaned segments (empty when quarantined — batch absorbs nothing
-    /// from a failed clean task).
-    pub segments: Vec<TripSegment>,
-    /// Clean-stage quarantine entry, if the session failed cleaning.
-    pub quarantine: Option<QuarantineEntry>,
-}
-
-/// Everything a resumed run needs besides replaying the feed prefix.
-#[derive(Debug, Default)]
-pub struct StreamState {
-    /// Feed records consumed before the checkpoint.
-    pub cursor: u64,
-    /// Aggregate cleaning totals over closed sessions.
-    pub totals: CleaningTotals,
-    /// Closed sessions keyed by session index.
-    pub closed: BTreeMap<u32, SessionProducts>,
-    /// Stream-stage quarantine entries in feed order.
-    pub stream_quarantine: Vec<QuarantineEntry>,
-}
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -81,84 +45,37 @@ pub fn stream_fingerprint(
     taxitrace_core::config_fingerprint(config) ^ fnv1a(format!("{stream:?}").as_bytes())
 }
 
-fn encode_entry(buf: &mut BytesMut, entry: &QuarantineEntry) -> Result<(), Error> {
-    buf.put_u64_le(entry.record);
-    buf.put_u8(entry.reason.wire_tag());
-    put_str(buf, &entry.detail).map_err(Error::Store)
-}
-
-fn decode_entry(b: &mut Bytes, stage: &str) -> Option<QuarantineEntry> {
-    let record = take_u64(b).ok()?;
-    let reason = QuarantineReason::from_wire_tag(take_u8(b).ok()?)?;
-    let detail = take_str(b).ok()?;
-    Some(QuarantineEntry { stage: stage.into(), record, reason, detail })
-}
-
-/// Writes the stream checkpoint atomically.
-pub fn save_stream_checkpoint(
+/// Writes the stream checkpoint atomically: `cursor` records consumed,
+/// and the persisted counters' current values.
+pub(crate) fn save_stream_checkpoint(
     path: &Path,
     fingerprint: u64,
-    state: &StreamState,
+    cursor: u64,
     metrics: &StreamMetrics,
 ) -> Result<(), Error> {
-    let mut cursor = BytesMut::new();
-    cursor.put_u64_le(state.cursor);
-    cursor.put_u32_le(PERSISTED_COUNTERS.len() as u32);
+    let mut section = BytesMut::new();
+    section.put_u64_le(cursor);
+    section.put_u32_le(PERSISTED_COUNTERS.len() as u32);
     for name in PERSISTED_COUNTERS {
-        put_str(&mut cursor, name).map_err(Error::Store)?;
-        cursor.put_u64_le(metrics.persisted_value(name));
+        put_str(&mut section, name).map_err(Error::Store)?;
+        section.put_u64_le(metrics.persisted_value(name));
     }
-
-    let totals = encode_totals(&state.totals);
-
-    let mut sessions = BytesMut::new();
-    sessions.put_u64_le(state.closed.len() as u64);
-    for (si, products) in &state.closed {
-        sessions.put_u32_le(*si);
-        match &products.quarantine {
-            Some(entry) => {
-                sessions.put_u8(1);
-                encode_entry(&mut sessions, entry)?;
-            }
-            None => sessions.put_u8(0),
-        }
-        let seg_bytes = encode_segments(&products.segments).map_err(Error::Store)?;
-        sessions.put_slice(&seg_bytes);
-    }
-
-    let mut quarantine = BytesMut::new();
-    quarantine.put_u64_le(state.stream_quarantine.len() as u64);
-    for entry in &state.stream_quarantine {
-        encode_entry(&mut quarantine, entry)?;
-    }
-
-    save_checkpoint(
-        path,
-        fingerprint,
-        &[
-            ("stream/cursor", &cursor),
-            ("stream/totals", &totals),
-            ("stream/sessions", &sessions),
-            ("stream/quarantine", &quarantine),
-        ],
-    )
-    .map_err(Error::Store)
+    save_checkpoint(path, fingerprint, &[("stream/cursor", &section)]).map_err(Error::Store)
 }
 
 /// Loads a stream checkpoint if one exists for this fingerprint. Returns
-/// the state plus the persisted counter values (restored by the caller
+/// the cursor plus the persisted counter values (restored by the caller
 /// onto fresh metric handles). Any mismatch — missing file, stale
 /// fingerprint, truncated section — means "start from the beginning";
 /// resumability is an optimization, never a correctness requirement.
-pub fn load_stream_checkpoint(
+pub(crate) fn load_stream_checkpoint(
     path: &Path,
     fingerprint: u64,
-) -> Option<(StreamState, Vec<(String, u64)>)> {
+) -> Option<(u64, Vec<(String, u64)>)> {
     let file = load_checkpoint(path).ok()?;
     if file.fingerprint != fingerprint {
         return None;
     }
-
     let mut b = file.section("stream/cursor")?.clone();
     let cursor = take_u64(&mut b).ok()?;
     let n = take_u32(&mut b).ok()? as usize;
@@ -168,65 +85,13 @@ pub fn load_stream_checkpoint(
         let value = take_u64(&mut b).ok()?;
         counters.push((name, value));
     }
-
-    let mut b = file.section("stream/totals")?.clone();
-    let totals = decode_totals(&mut b).ok()?;
-
-    let mut b = file.section("stream/sessions")?.clone();
-    let n = take_u64(&mut b).ok()? as usize;
-    let mut closed = BTreeMap::new();
-    for _ in 0..n {
-        let si = take_u32(&mut b).ok()?;
-        let quarantine = match take_u8(&mut b).ok()? {
-            0 => None,
-            _ => Some(decode_entry(&mut b, "clean")?),
-        };
-        let segments = decode_segments(&mut b).ok()?;
-        closed.insert(si, SessionProducts { segments, quarantine });
-    }
-
-    let mut b = file.section("stream/quarantine")?.clone();
-    let n = take_u64(&mut b).ok()? as usize;
-    let mut stream_quarantine = Vec::with_capacity(n);
-    for _ in 0..n {
-        stream_quarantine.push(decode_entry(&mut b, "stream")?);
-    }
-
-    Some((StreamState { cursor, totals, closed, stream_quarantine }, counters))
+    Some((cursor, counters))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use taxitrace_obs::Registry;
-
-    fn sample_state() -> StreamState {
-        let mut closed = BTreeMap::new();
-        closed.insert(3, SessionProducts { segments: Vec::new(), quarantine: None });
-        closed.insert(
-            5,
-            SessionProducts {
-                segments: Vec::new(),
-                quarantine: Some(QuarantineEntry {
-                    stage: "clean".into(),
-                    record: 5,
-                    reason: QuarantineReason::TaskPanic,
-                    detail: "chaos: injected clean-task panic (trip 5)".into(),
-                }),
-            },
-        );
-        StreamState {
-            cursor: 41,
-            totals: CleaningTotals { sessions: 2, ..Default::default() },
-            closed,
-            stream_quarantine: vec![QuarantineEntry {
-                stage: "stream".into(),
-                record: 9,
-                reason: QuarantineReason::LatePastWatermark,
-                detail: "arrival past watermark".into(),
-            }],
-        }
-    }
 
     #[test]
     fn round_trip() {
@@ -236,16 +101,12 @@ mod tests {
         let registry = Registry::new();
         let metrics = StreamMetrics::new(&registry);
         metrics.trips_closed.add(2);
-        let state = sample_state();
-        save_stream_checkpoint(&path, 77, &state, &metrics).expect("save");
+        save_stream_checkpoint(&path, 77, 41, &metrics).expect("save");
 
         assert!(load_stream_checkpoint(&path, 78).is_none(), "fingerprint gate");
-        let (loaded, counters) = load_stream_checkpoint(&path, 77).expect("load");
-        assert_eq!(loaded.cursor, 41);
-        assert_eq!(loaded.totals.sessions, 2);
-        assert_eq!(loaded.closed.len(), 2);
-        assert_eq!(loaded.closed[&5].quarantine, state.closed[&5].quarantine);
-        assert_eq!(loaded.stream_quarantine, state.stream_quarantine);
+        let (cursor, counters) = load_stream_checkpoint(&path, 77).expect("load");
+        assert_eq!(cursor, 41);
+        assert_eq!(counters.len(), PERSISTED_COUNTERS.len());
         let trips = counters.iter().find(|(n, _)| n == "stream.trips_closed").expect("counter");
         assert_eq!(trips.1, 2);
         std::fs::remove_dir_all(&dir).ok();

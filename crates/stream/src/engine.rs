@@ -3,12 +3,14 @@
 //! One feeder thread pushes the arrival-ordered feed through a bounded
 //! queue; the processor thread runs the watermark machine, cleans each
 //! trip the moment it closes, admits its O-D transitions' pair labels to
-//! the sliding window, and checkpoints the stream cursor. At end of stream
-//! the accumulated per-session products are assembled through the
-//! *unchanged* batch stages (`assemble_cleaned → analyze_od →
-//! match_fuse`), which is what makes stream-end output byte-identical to
-//! `Study::run` on the same seed — parity by construction, pinned by
-//! `tests/stream_parity.rs`.
+//! the sliding window, and checkpoints the stream cursor. A resumed run
+//! replays the feed prefix through the same closes and ledger filing, so
+//! only metrics, the window and checkpoint writes depend on whether a
+//! record is live. At end of stream the accumulated per-session products
+//! are assembled through the *unchanged* batch stages (`assemble_cleaned
+//! → analyze_od → match_fuse`), which is what makes stream-end output
+//! byte-identical to `Study::run` on the same seed — parity by
+//! construction, pinned by `tests/stream_parity.rs`.
 //!
 //! Backpressure contract: when the queue is full the feeder **blocks**
 //! (counting `stream.backpressure_stalls`); records are never dropped to
@@ -16,6 +18,7 @@
 //! malformed or late-past-watermark ones, and both land in the
 //! quarantine ledger under the `stream` stage's error budget.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -25,14 +28,13 @@ use std::thread;
 use taxitrace_cleaning::{clean_session, session_anomaly, CleaningTotals, TripSegment};
 use taxitrace_core::{
     check_budget, clean_failure, injected_clean_panic, resolved_fault_policy, transition_anomaly,
-    Error, Quarantine, QuarantineEntry, QuarantineReason, Study, StudyConfig, TaskError,
+    Error, Quarantine, QuarantineEntry, QuarantineReason, Simulated, Study, StudyConfig, TaskError,
 };
 use taxitrace_od::OdAnalyzer;
 use taxitrace_traces::{RawTrip, RoutePoint};
 
 use crate::checkpoint::{
-    load_stream_checkpoint, save_stream_checkpoint, stream_fingerprint, SessionProducts,
-    StreamState, STREAM_CHECKPOINT_FILE,
+    load_stream_checkpoint, save_stream_checkpoint, stream_fingerprint, STREAM_CHECKPOINT_FILE,
 };
 use crate::feed::{build_feed, FLAG_BURST, FLAG_STALL};
 use crate::metrics::StreamMetrics;
@@ -43,6 +45,29 @@ use crate::{StreamConfig, StreamReport, StreamRun};
 /// How long an injected feeder stall pauses. Affects liveness metrics
 /// only — never the data.
 const STALL_PAUSE: std::time::Duration = std::time::Duration::from_millis(2);
+
+/// Products of one closed session, in the exact shape the batch clean
+/// stage would have produced for it.
+#[derive(Debug)]
+struct SessionProducts {
+    /// Cleaned segments (empty when quarantined — batch absorbs nothing
+    /// from a failed clean task).
+    segments: Vec<TripSegment>,
+    /// Clean-stage quarantine entry, if the session failed cleaning.
+    quarantine: Option<QuarantineEntry>,
+}
+
+/// What the processor accumulates from the feed. Replaying the feed
+/// prefix after a resume rebuilds it exactly.
+#[derive(Debug, Default)]
+struct StreamState {
+    /// Aggregate cleaning totals over closed sessions.
+    totals: CleaningTotals,
+    /// Closed sessions keyed by session index.
+    closed: BTreeMap<u32, SessionProducts>,
+    /// Stream-stage quarantine entries in feed order.
+    stream_quarantine: Vec<QuarantineEntry>,
+}
 
 /// Runs the study as a stream. See [`crate::run_stream`].
 pub fn run_stream(
@@ -64,19 +89,18 @@ pub fn run_stream(
     // configs; otherwise start from record zero.
     let fingerprint = stream_fingerprint(&sim.config, stream_cfg);
     let ck_path = checkpoint_dir.map(|d| d.join(STREAM_CHECKPOINT_FILE));
-    let mut state = StreamState::default();
     let mut resumed_from = None;
     if let Some(path) = &ck_path {
-        if let Some((loaded, counters)) = load_stream_checkpoint(path, fingerprint) {
+        if let Some((cursor, counters)) = load_stream_checkpoint(path, fingerprint) {
             for (name, value) in &counters {
                 metrics.restore(name, *value);
             }
-            resumed_from = Some(loaded.cursor);
-            state = loaded;
+            resumed_from = Some(cursor);
             metrics.resumes.inc();
         }
     }
-    let cursor_start = state.cursor;
+    let cursor_start = resumed_from.unwrap_or(0);
+    let mut state = StreamState::default();
 
     // Bounded ingest queue. The feeder owns the feed; the processor owns
     // everything else.
@@ -156,21 +180,21 @@ pub fn run_stream(
         if is_malformed(&record.point) {
             if live {
                 metrics.records_malformed.inc();
-                state.stream_quarantine.push(QuarantineEntry {
-                    stage: "stream".into(),
-                    record: trip_id,
-                    reason: QuarantineReason::MalformedRecord,
-                    detail: format!(
-                        "non-finite position at point {point_id} (feed record #{i})"
-                    ),
-                });
             }
+            state.stream_quarantine.push(QuarantineEntry {
+                stage: "stream".into(),
+                record: trip_id,
+                reason: QuarantineReason::MalformedRecord,
+                detail: format!("non-finite position at point {point_id} (feed record #{i})"),
+            });
         } else {
             let event_s = record.point.timestamp.secs();
             let disposition =
                 machine.offer(record.session_index, record.point_index, event_s, record.point);
-            if disposition == Disposition::LatePastWatermark && live {
-                metrics.late_dropped.inc();
+            if disposition == Disposition::LatePastWatermark {
+                if live {
+                    metrics.late_dropped.inc();
+                }
                 state.stream_quarantine.push(QuarantineEntry {
                     stage: "stream".into(),
                     record: trip_id,
@@ -182,20 +206,8 @@ pub fn run_stream(
                 });
             }
             for buffer in machine.drain_closable() {
-                if live {
-                    close_trip(
-                        buffer,
-                        sim.store.sessions(),
-                        &sim.config,
-                        &analyzer,
-                        max_attempts,
-                        &mut state,
-                        &mut window,
-                        &metrics,
-                    );
-                }
-                // Catch-up closes are discarded: their products were
-                // restored from the checkpoint.
+                let live = live.then_some((&mut window, &metrics));
+                close_trip(buffer, &sim, &analyzer, max_attempts, &mut state, live);
             }
         }
 
@@ -204,24 +216,24 @@ pub fn run_stream(
             if let Some(frontier) = machine.frontier_s() {
                 window.advance(frontier, &metrics);
             }
-            state.cursor = i + 1;
+            let cursor = i + 1;
             if let Some(path) = &ck_path {
                 let periodic = stream_cfg.checkpoint_every > 0
-                    && state.cursor % stream_cfg.checkpoint_every == 0
-                    && state.cursor < feed_len;
+                    && cursor.is_multiple_of(stream_cfg.checkpoint_every)
+                    && cursor < feed_len;
                 if periodic {
                     metrics.checkpoints.inc();
-                    save_stream_checkpoint(path, fingerprint, &state, &metrics)?;
+                    save_stream_checkpoint(path, fingerprint, cursor, &metrics)?;
                 }
             }
-            if kill_after > 0 && state.cursor == kill_after {
+            if kill_after > 0 && cursor == kill_after {
                 if let Some(path) = &ck_path {
                     metrics.checkpoints.inc();
-                    save_stream_checkpoint(path, fingerprint, &state, &metrics)?;
+                    save_stream_checkpoint(path, fingerprint, cursor, &metrics)?;
                 }
                 drop(rx);
                 let _ = feeder.join();
-                return Err(Error::InjectedKill { stage: format!("stream@{}", state.cursor) });
+                return Err(Error::InjectedKill { stage: format!("stream@{cursor}") });
             }
         }
     }
@@ -231,19 +243,10 @@ pub fn run_stream(
     // End of stream: every still-open trip closes now. All of these are
     // live — a killed run never reaches its flush.
     for buffer in machine.flush() {
-        close_trip(
-            buffer,
-            sim.store.sessions(),
-            &sim.config,
-            &analyzer,
-            max_attempts,
-            &mut state,
-            &mut window,
-            &metrics,
-        );
+        let live = Some((&mut window, &metrics));
+        close_trip(buffer, &sim, &analyzer, max_attempts, &mut state, live);
     }
     metrics.watermark_lag_s.set(0.0);
-    state.cursor = feed_len;
 
     // Stream-stage accounting: same ledger surface and budget law as
     // every batch stage.
@@ -361,29 +364,28 @@ fn clean_one(
     SessionProducts { segments: Vec::new(), quarantine: Some(clean_failure(session.id.0, failure)) }
 }
 
-/// Processes one watermark-closed trip: incremental clean, then live O-D
-/// extraction into the sliding window. A transition enters the window
-/// under the filters batch applies before matching: not anomalous (the
-/// O-D stage) and post-filtered (stage 4).
-#[allow(clippy::too_many_arguments)] // the live stage-2..3 working set
+/// Processes one watermark-closed trip: incremental clean, then, for a
+/// `live` close (`None` while replaying the feed prefix after a resume),
+/// the `stream.trips_closed` count and live O-D extraction into the
+/// sliding window. A transition enters the window under the filters batch
+/// applies before matching: not anomalous (the O-D stage) and
+/// post-filtered (stage 4).
 fn close_trip(
     buffer: TripBuffer,
-    sessions: &[RawTrip],
-    config: &StudyConfig,
+    sim: &Simulated,
     analyzer: &OdAnalyzer,
     max_attempts: u32,
     state: &mut StreamState,
-    window: &mut SlidingWindow,
-    metrics: &StreamMetrics,
+    live: Option<(&mut SlidingWindow, &StreamMetrics)>,
 ) {
     let si = buffer.session_index;
     let last_event_s = buffer.last_event_s;
     let points: Vec<RoutePoint> = buffer.points.into_values().collect();
-    let session = rebuild_session(&sessions[si as usize], points);
-    let products = clean_one(&session, config, max_attempts, &mut state.totals);
-    metrics.trips_closed.inc();
+    let session = rebuild_session(&sim.store.sessions()[si as usize], points);
+    let products = clean_one(&session, &sim.config, max_attempts, &mut state.totals);
 
-    if products.quarantine.is_none() && !products.segments.is_empty() {
+    if let Some((window, metrics)) = live {
+        metrics.trips_closed.inc();
         for t in analyzer.transitions(&products.segments) {
             if t.post_filtered
                 && transition_anomaly(&products.segments[t.segment_index], &t).is_none()

@@ -48,10 +48,7 @@ use std::path::Path;
 
 use taxitrace_core::{Error, StudyConfig, StudyOutput};
 
-pub use checkpoint::{
-    load_stream_checkpoint, save_stream_checkpoint, stream_fingerprint, SessionProducts,
-    StreamState, STREAM_CHECKPOINT_FILE,
-};
+pub use checkpoint::{stream_fingerprint, STREAM_CHECKPOINT_FILE};
 pub use feed::{build_feed, FeedRecord, FeedStats, FLAG_BURST, FLAG_GARBLED, FLAG_LATE, FLAG_STALL};
 pub use metrics::StreamMetrics;
 pub use watermark::{Disposition, TripBuffer, WatermarkConfig, WatermarkMachine};

@@ -34,37 +34,67 @@ fn assert_same_output(a: &StudyOutput, b: &StudyOutput) {
 
 #[test]
 fn mid_stream_kill_resumes_byte_identically() {
-    // Reference run: same seed, kill disabled, no checkpoints.
-    let stream_cfg = StreamConfig::default();
-    let reference = run_stream(config(FaultPlan::default()), &stream_cfg, None)
-        .expect("reference run");
-    let total = reference.report.feed.records;
-    assert!(total > 200, "need a non-trivial feed, got {total}");
-
-    // Killed run: same data, kill half-way, checkpoint, resume.
-    let kill_at = total / 2;
-    let plan = FaultPlan { stream_kill_after_records: kill_at, ..FaultPlan::default() };
-    let dir = tmp_dir("kill");
-    let killed = run_stream(config(plan.clone()), &stream_cfg, Some(&dir));
-    match killed {
-        Err(Error::InjectedKill { stage }) => {
-            assert_eq!(stage, format!("stream@{kill_at}"));
+    // The second plan garbles, delays and panics records on both sides of
+    // the kill, so the resumed run must rebuild a non-empty ledger and the
+    // closed trips' products by replaying the feed prefix.
+    let faulty = FaultPlan {
+        stream_garble_one_in: 40,
+        stream_late_one_in: 50,
+        stream_late_delay_s: 7200,
+        task_panic_one_in: 13,
+        error_budget: Some(0.9),
+        ..FaultPlan::default()
+    };
+    for (tag, faults) in [("kill", FaultPlan::default()), ("kill-faulty", faulty)] {
+        // Reference run: same seed and faults, kill disabled, no checkpoints.
+        let stream_cfg = StreamConfig::default();
+        let reference =
+            run_stream(config(faults.clone()), &stream_cfg, None).expect("reference run");
+        let total = reference.report.feed.records;
+        assert!(total > 200, "need a non-trivial feed, got {total}");
+        if tag == "kill-faulty" {
+            let stages = reference.output.quarantine.by_stage();
+            assert!(
+                stages.contains_key("stream") && stages.contains_key("clean"),
+                "{stages:?}"
+            );
         }
-        other => panic!("expected injected kill, got {other:?}"),
+
+        // Killed run: same data, kill half-way, checkpoint, resume.
+        let kill_at = total / 2;
+        let plan = FaultPlan {
+            stream_kill_after_records: kill_at,
+            ..faults
+        };
+        let dir = tmp_dir(tag);
+        let killed = run_stream(config(plan.clone()), &stream_cfg, Some(&dir));
+        match killed {
+            Err(Error::InjectedKill { stage }) => {
+                assert_eq!(stage, format!("stream@{kill_at}"));
+            }
+            other => panic!("{tag}: expected injected kill, got {other:?}"),
+        }
+        assert!(
+            dir.join("stream.ttck").exists(),
+            "kill must leave a checkpoint"
+        );
+
+        let resumed = run_stream(config(plan), &stream_cfg, Some(&dir)).expect("resumed run");
+        assert_eq!(resumed.report.resumed_from, Some(kill_at));
+        assert_eq!(resumed.report.resumes, 1);
+        // Cumulative counters survive the kill: every record and every
+        // close is accounted to exactly one of the two processes.
+        let (got, want) = (&resumed.report, &reference.report);
+        assert_eq!(got.records_total, total, "{tag}");
+        assert_eq!(got.records_malformed, want.records_malformed, "{tag}");
+        assert_eq!(got.late_dropped, want.late_dropped, "{tag}");
+        assert_eq!(got.trips_closed, want.trips_closed, "{tag}");
+
+        // The killed-and-resumed output is the uninterrupted output. Not
+        // close — identical.
+        assert_same_output(&reference.output, &resumed.output);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    assert!(dir.join("stream.ttck").exists(), "kill must leave a checkpoint");
-
-    let resumed = run_stream(config(plan), &stream_cfg, Some(&dir)).expect("resumed run");
-    assert_eq!(resumed.report.resumed_from, Some(kill_at));
-    assert_eq!(resumed.report.resumes, 1);
-    // Cumulative counters survive the kill: every record is accounted to
-    // exactly one of the two processes.
-    assert_eq!(resumed.report.records_total, total);
-
-    // The killed-and-resumed output is the uninterrupted output. Not
-    // close — identical.
-    assert_same_output(&reference.output, &resumed.output);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

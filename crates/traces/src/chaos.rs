@@ -107,12 +107,15 @@ pub struct FaultPlan {
     /// Stage-level: panic the clean task for every session whose trip id
     /// is divisible by this (0 = off). Exercises executor task isolation.
     pub task_panic_one_in: u64,
-    /// Stage-level: after completing (and checkpointing) the named stage
-    /// (`simulate`/`clean`/`od`), the study returns an injected error —
-    /// a simulated kill that `Study::resume` must recover from.
+    /// Stage-level: after completing (and checkpointing) the named stage,
+    /// the study returns an injected error — a simulated kill that a
+    /// second `Study::run_with_checkpoints` call must recover from. Only
+    /// `simulate` is checkpointed, so `StudyConfig::validate` rejects any
+    /// other stage.
     pub kill_after_stage: Option<String>,
     /// Stage-level: the named stage's first checkpoint write fails with
-    /// an injected store error (once; a retry succeeds).
+    /// an injected store error (once; a retry succeeds). As for
+    /// `kill_after_stage`, only `simulate` is accepted.
     pub fail_checkpoint_stage: Option<String>,
     /// Override of `MatchConfig::gap_fill_max_expansions` (to force the
     /// search-budget fallback on a normal-sized run).

@@ -137,7 +137,7 @@ p_stuck 0.03
 p_dropout 0.03
 task_panic_one_in 97
 error_budget 0.5
-kill_after_stage clean
+kill_after_stage simulate
 PLAN
 ./target/release/repro --scale 0.05 --chaos "$plan" --checkpoint-dir "$ckdir" \
     --metrics json --metrics-out "$metrics" table3 > "$out" 2> "$errs" || {
@@ -297,8 +297,8 @@ rm -rf "$fpdir"
 
 # Front-door smoke: a --store replay of an unmodified saved store, a
 # --checkpoint-dir run, and a second run over the same directory (which
-# loads every stage checkpoint instead of recomputing) must all print
-# the batch fingerprint.
+# loads the simulate checkpoint and recomputes every later stage from its
+# sessions) must all print the batch fingerprint.
 fddir=$(mktemp -d)
 front_door_fp() {
     ./target/release/repro --scale 0.05 "$@" fingerprint 2>/dev/null \
@@ -321,9 +321,13 @@ store_sha=$(sha256sum "$fddir/trips.tts" | cut -d' ' -f1)
 }
 same_as_batch "--store replay" "$(front_door_fp --store "$fddir/trips.tts")"
 same_as_batch "first --checkpoint-dir run" "$(front_door_fp --checkpoint-dir "$fddir/ck")"
-for stage in simulate clean od; do
-    test -s "$fddir/ck/$stage.ttck" || {
-        echo "verify: --checkpoint-dir run wrote no $stage checkpoint" >&2
+test -s "$fddir/ck/simulate.ttck" || {
+    echo "verify: --checkpoint-dir run wrote no simulate checkpoint" >&2
+    exit 1
+}
+for stage in clean od; do
+    test ! -e "$fddir/ck/$stage.ttck" || {
+        echo "verify: --checkpoint-dir run wrote a derived $stage checkpoint" >&2
         exit 1
     }
 done

@@ -171,22 +171,4 @@ proptest! {
         prop_assert_eq!(back.len(), 1);
         prop_assert_eq!(&back[0], &session);
     }
-
-    /// Projection + WKT round trip through the Digiroad text layer keeps
-    /// geometry within a centimetre.
-    #[test]
-    fn wkt_projection_round_trip(
-        coords in proptest::collection::vec((-5e3f64..5e3, -5e3f64..5e3), 2..10)
-    ) {
-        use taxi_traces::geo::wkt;
-        let p = proj();
-        let geos: Vec<GeoPoint> =
-            coords.iter().map(|&(x, y)| p.unproject(Point::new(x, y))).collect();
-        let text = wkt::linestring_to_wkt(&geos);
-        let back = wkt::linestring_from_wkt(&text).expect("parse");
-        for (g, &(x, y)) in back.iter().zip(&coords) {
-            let q = p.project(*g);
-            prop_assert!(q.distance(Point::new(x, y)) < 0.02, "drift {}", q.distance(Point::new(x, y)));
-        }
-    }
 }
