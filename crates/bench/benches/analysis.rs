@@ -30,7 +30,8 @@ fn analysis_benches(c: &mut Criterion) {
 
     group.bench_function("od_funnel", |b| {
         let analyzer = OdAnalyzer::from_city(&output.city);
-        b.iter(|| analyzer.funnel(&output.segments))
+        let transitions = analyzer.transitions(&output.segments);
+        b.iter(|| analyzer.funnel(&output.segments, &transitions))
     });
 
     group.finish();

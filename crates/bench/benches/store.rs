@@ -1,31 +1,21 @@
-//! Trip-store benchmarks: ingest, keyed access, time scans and spatial
-//! queries (the PostGIS-role workload), plus the container codec A/B —
-//! sequential v2 salvage scan versus v3 offset-index seek reads.
+//! Trip-store benchmarks: ingest into the id-keyed store, and the
+//! container codec A/B — sequential salvage scan versus offset-index seek
+//! reads over the same image.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use taxitrace_bench::{bench_city, bench_fleet};
-use taxitrace_geo::{BBox, Point};
-use taxitrace_store::codec::{
-    load_bytes, read_session_indexed, salvage_bytes, save_sessions_tagged,
-    save_sessions_v2_tagged,
-};
-use taxitrace_store::{LoadOptions, Query, TripStore};
-use taxitrace_timebase::{study_period_start, Duration};
-use taxitrace_traces::TaxiId;
+use taxitrace_store::codec::{load_bytes, salvage_bytes, save_sessions_tagged};
+use taxitrace_store::{LoadOptions, TripStore};
 
 fn store_benches(c: &mut Criterion) {
     let city = bench_city();
     let fleet = bench_fleet(&city, 44, 0.03);
     let sessions = fleet.sessions;
-
-    let mut store = TripStore::new();
-    store.insert_all(sessions.clone()).expect("unique ids");
-    let n_points: u64 = store.stats().points as u64;
+    let n_points: u64 = sessions.iter().map(|s| s.points.len() as u64).sum();
 
     let mut group = c.benchmark_group("store");
     group.throughput(criterion::Throughput::Elements(n_points));
-
     group.bench_function("bulk_insert", |b| {
         b.iter_batched(
             || sessions.clone(),
@@ -37,68 +27,25 @@ fn store_benches(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-
-    group.bench_function("taxi_scan", |b| {
-        b.iter(|| store.of_taxi(TaxiId(1)).map(|s| s.points.len()).sum::<usize>())
-    });
-
-    group.bench_function("time_range_scan", |b| {
-        let from = study_period_start() + Duration::from_days(60);
-        let to = study_period_start() + Duration::from_days(240);
-        b.iter(|| store.in_time_range(from, to).count())
-    });
-
-    group.bench_function("spatial_bbox_query", |b| {
-        let bbox = BBox::from_corners(Point::new(-400.0, -400.0), Point::new(400.0, 400.0));
-        b.iter(|| store.points_in_bbox(&bbox).len())
-    });
-
-    group.bench_function("composed_query", |b| {
-        let q = Query::new().taxi(TaxiId(2)).min_points(20).touches(BBox::from_corners(
-            Point::new(-1000.0, -1000.0),
-            Point::new(1000.0, 1000.0),
-        ));
-        b.iter(|| store.query(&q).expect("valid query").count())
-    });
-
     group.finish();
 
-    // Container codec A/B: the same fleet serialized in the pre-index v2
-    // layout (sequential CRC scan to load) and the v3 layout (offset index,
-    // seek + zero-copy payload decode). `single_record` compares fetching
-    // the *last* record — the scan's worst case, the index's constant case.
+    // Container codec A/B: the same image loaded by the sequential CRC
+    // scan (the salvage path) and by the offset index (seek + zero-copy
+    // payload decode, the path every clean load takes).
     let dir = std::env::temp_dir().join(format!("taxitrace-bench-codec-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench dir");
-    let v2_path = dir.join("fleet.v2.ttrs");
-    let v3_path = dir.join("fleet.v3.ttrs");
-    save_sessions_v2_tagged(&v2_path, &sessions, 7).expect("write v2");
-    save_sessions_tagged(&v3_path, &sessions, 7).expect("write v3");
-    let v2_raw = Bytes::from(std::fs::read(&v2_path).expect("read v2"));
-    let v3_raw = Bytes::from(std::fs::read(&v3_path).expect("read v3"));
-    let last = sessions.len() - 1;
+    let path = dir.join("fleet.ttrs");
+    save_sessions_tagged(&path, &sessions, 7).expect("write store");
+    let raw = Bytes::from(std::fs::read(&path).expect("read store"));
 
     let mut codec = c.benchmark_group("codec_ab");
-    codec.throughput(criterion::Throughput::Bytes(v3_raw.len() as u64));
-    codec.bench_function("full_load_v2_scan", |b| {
-        b.iter(|| salvage_bytes(&v2_raw).sessions.len())
-    });
-    codec.bench_function("full_load_v3_indexed", |b| {
+    codec.throughput(criterion::Throughput::Bytes(raw.len() as u64));
+    codec.bench_function("full_load_scan", |b| b.iter(|| salvage_bytes(&raw).sessions.len()));
+    codec.bench_function("full_load_indexed", |b| {
         b.iter(|| {
-            let out = load_bytes(&v3_raw, &LoadOptions::strict()).expect("clean image");
-            assert!(out.indexed, "v3 image must take the indexed path");
+            let out = load_bytes(&raw, &LoadOptions::strict()).expect("clean image");
+            assert!(out.indexed, "a clean image must take the indexed path");
             out.sessions.len()
-        })
-    });
-    codec.bench_function("single_record_v2_scan", |b| {
-        b.iter(|| salvage_bytes(&v2_raw).sessions[last].points.len())
-    });
-    codec.bench_function("single_record_v3_seek", |b| {
-        b.iter(|| {
-            read_session_indexed(&v3_raw, last)
-                .expect("clean image")
-                .expect("in range")
-                .points
-                .len()
         })
     });
     codec.finish();

@@ -8,8 +8,8 @@
 //! fig6 fig7 fig8 fig9 fig10 validation ablation-thick ablation-lookahead
 //! ablation-rules ablation-grid all`.
 //!
-//! `repro fingerprint` (not part of `all`) prints the FNV fingerprint of
-//! the full pipeline output as `study fingerprint 0x…`, the same line
+//! `repro fingerprint` (not part of `all`) prints `StudyOutput::fingerprint`
+//! of the full pipeline output as `study fingerprint 0x…`, the same line
 //! `repro stream` and `repro ingest` print, so scripts can assert that
 //! every front door and every `--threads` setting converge on one study.
 //! Timings live in the repository benchmark (`perfbench/`), not here.
@@ -392,56 +392,6 @@ fn main() {
     }
 }
 
-/// FNV-1a over little-endian words: the cheap deterministic fingerprint
-/// used to assert byte-identity of simulation/pipeline output across
-/// thread counts (not a cryptographic hash).
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    fnv1a_bytes(h, &v.to_le_bytes())
-}
-
-/// Fingerprint of the full pipeline output (cleaning totals, funnel,
-/// fused transitions down to point-speed bits). Equal fingerprints across
-/// `--threads` settings certify the study is thread-count invariant.
-fn study_fingerprint(out: &StudyOutput) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv1a_u64(h, out.cleaning.sessions as u64);
-    h = fnv1a_u64(h, out.cleaning.segments_kept as u64);
-    h = fnv1a_u64(h, out.segments.len() as u64);
-    for row in out.funnel() {
-        for v in [
-            u64::from(row.taxi),
-            row.segments_total as u64,
-            row.any_crossing as u64,
-            row.filtered_cleaned as u64,
-            row.transitions_total as u64,
-            row.within_center as u64,
-            row.post_filtered as u64,
-        ] {
-            h = fnv1a_u64(h, v);
-        }
-    }
-    for t in &out.transitions {
-        h = fnv1a_bytes(h, t.pair.as_bytes());
-        h = fnv1a_u64(h, t.points.len() as u64);
-        h = fnv1a_u64(h, t.dist_km.to_bits());
-        h = fnv1a_u64(h, t.time_h.to_bits());
-        for p in &t.points {
-            h = fnv1a_u64(h, p.speed_kmh.to_bits());
-        }
-    }
-    h
-}
-
 // --------------------------------------------- storage maintenance tools
 
 /// `repro store-save <file>`: simulate stage 1 under the current
@@ -530,7 +480,7 @@ fn cmd_ingest(args: &Args) {
         out.segments.len(),
         out.transitions.len()
     );
-    println!("study fingerprint {:#018x}", study_fingerprint(&out));
+    println!("study fingerprint {:#018x}", out.fingerprint());
     if args.metrics.is_some() || args.metrics_out.is_some() {
         let fmt = args.metrics.unwrap_or(MetricsFormat::Json);
         let rendered = taxitrace_obs::render(&out.metrics, fmt);
@@ -719,7 +669,7 @@ fn cmd_stream(args: &Args) {
             r.checkpoints, r.resumes
         );
     }
-    println!("study fingerprint {:#018x}", study_fingerprint(&run.output));
+    println!("study fingerprint {:#018x}", run.output.fingerprint());
     if args.metrics.is_some() || args.metrics_out.is_some() {
         let fmt = args.metrics.unwrap_or(MetricsFormat::Json);
         let rendered = taxitrace_obs::render(&run.output.metrics, fmt);
@@ -1131,7 +1081,7 @@ fn fig10(args: &Args) {
 /// Prints the study fingerprint, in the line format of `repro stream` and
 /// `repro ingest`.
 fn fingerprint(args: &Args) {
-    println!("study fingerprint {:#018x}", study_fingerprint(output(args)));
+    println!("study fingerprint {:#018x}", output(args).fingerprint());
 }
 
 // ------------------------------------------------------------- validation

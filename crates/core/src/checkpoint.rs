@@ -31,12 +31,7 @@ use crate::experiment::{synth_city, Loaded, Simulated, Study};
 /// policy and any chaos plan). A checkpoint is only reused when its stored
 /// fingerprint matches the current config exactly.
 pub fn config_fingerprint(config: &StudyConfig) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{config:?}").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    crate::fnv1a(format!("{config:?}").as_bytes())
 }
 
 impl Study {

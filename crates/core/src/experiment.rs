@@ -22,7 +22,7 @@ use std::path::Path;
 use taxitrace_cleaning::{
     clean_session, session_anomaly, AnomalyKind, CleanedSession, CleaningTotals, TripSegment,
 };
-use taxitrace_exec::{ExecMeter, FailurePolicy, TaskError, TaskPolicy};
+use taxitrace_exec::{ExecMeter, TaskError};
 use taxitrace_matching::{incremental, CandidateIndex, MatchConfig, MatchScratch};
 use taxitrace_obs::{MetricsSnapshot, Registry, Span};
 use taxitrace_od::{FunnelRow, OdAnalyzer, Transition};
@@ -502,10 +502,6 @@ impl Simulated {
         let span = self.obs.registry.span("study/clean");
         let config = &self.config;
         let (_, max_attempts) = resolved_fault_policy(config);
-        let policy = TaskPolicy {
-            failure: FailurePolicy::Collect { max_failures: usize::MAX },
-            max_attempts,
-        };
         let task = |_: &mut (), session: &RawTrip| -> Result<CleanedSession, (AnomalyKind, String)> {
             if let Some(message) = injected_clean_panic(config, session.id.0) {
                 // lint:allow(panic-free-library): chaos-injected fault, isolated by the executor
@@ -514,22 +510,15 @@ impl Simulated {
             let cleaned = clean_session(session, &config.cleaning);
             session_anomaly(&cleaned, &config.fault.anomaly).map_or(Ok(cleaned), Err)
         };
-        // `Collect { usize::MAX }` never rejects the batch, so the error
-        // arm is structurally unreachable; budget enforcement happens in
-        // the shared tail, against the quarantined fraction.
+        // Budget enforcement happens in the shared tail, against the
+        // quarantined fraction.
         let (slots, _) = taxitrace_exec::try_par_map_init_metered(
             self.store.sessions(),
             || (),
             task,
-            policy,
+            max_attempts,
             &self.obs.meter,
-        )
-        .map_err(|batch| {
-            Error::Pipeline(format!(
-                "clean batch rejected: {} failures, first at index {}",
-                batch.failures, batch.index
-            ))
-        })?;
+        );
 
         let mut cleaning = CleaningTotals::default();
         let mut segments: Vec<TripSegment> = Vec::new();
@@ -623,13 +612,13 @@ impl Cleaned {
         let mut span = obs.registry.span("study/od");
         let (error_budget, _) = resolved_fault_policy(&config);
         let analyzer = OdAnalyzer::from_city(&city);
-        let funnel_rows = {
-            let _s = obs.registry.span("study/od/funnel");
-            analyzer.funnel(&segments)
-        };
         let extracted = {
             let _s = obs.registry.span("study/od/transitions");
             analyzer.transitions(&segments)
+        };
+        let funnel_rows = {
+            let _s = obs.registry.span("study/od/funnel");
+            analyzer.funnel(&segments, &extracted)
         };
         let total = extracted.len();
         let before = quarantine.len();

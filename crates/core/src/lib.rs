@@ -63,6 +63,7 @@ mod config;
 mod error;
 mod experiment;
 mod export;
+mod fingerprint;
 mod gridstats;
 mod mixedanalysis;
 mod quarantine;
@@ -74,6 +75,7 @@ mod transitions;
 pub use checkpoint::config_fingerprint;
 pub use coach::{coach_report, CoachConfig, CoachEvent, TripReport};
 pub use export::export_csv;
+pub use fingerprint::{fnv1a, fnv1a_seeded, FNV_OFFSET};
 pub use config::{ConfigError, FaultConfig, StudyConfig, StudyConfigBuilder};
 pub use error::Error;
 pub use experiment::{
@@ -88,10 +90,9 @@ pub use taxitrace_cleaning::CleaningTotals;
 pub use gridstats::{CellStat, GridStats, Table5, Table5Class};
 pub use mixedanalysis::{mixed_model, mixed_model_with_features, CellEffect, MixedResults};
 pub use queryapi::{
-    answer, escape_json, CellSpeedRow, OdFlowRow, QueryEngine, QueryRequest, QueryResponse,
-    TripSummary,
+    answer, escape_json, CellSpeedRow, OdFlowRow, QueryEngine, QueryError, QueryRequest,
+    QueryResponse, TripSummary,
 };
-pub use taxitrace_store::QueryError;
 pub use results::{
     render_table1, render_table3, render_table4, render_table5, Table4, Table4Row,
 };

@@ -10,14 +10,36 @@
 //! agree byte-for-byte — the serving parity proptest pins exactly that.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use taxitrace_geo::CellId;
-use taxitrace_store::QueryError;
 use taxitrace_timebase::Timestamp;
 use taxitrace_traces::{TaxiId, TripId};
 
 use crate::experiment::StudyOutput;
 use crate::gridstats::GridStats;
+
+/// A query that can never match: the caller asked for something
+/// contradictory, which is refused instead of answered with an empty result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QueryError {
+    /// A range filter is inverted (min > max). `field` names the filter
+    /// ("time"); `min`/`max` are the offending bounds (seconds).
+    EmptyRange { field: &'static str, min: f64, max: f64 },
+}
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueryError::EmptyRange { field, min, max } => write!(
+                f,
+                "empty {field} range: min {min} exceeds max {max}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
 
 /// A typed query against study results.
 #[derive(Debug, Clone, PartialEq)]

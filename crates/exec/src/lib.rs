@@ -18,10 +18,9 @@
 //!
 //! Every task runs under `catch_unwind`: a panicking task becomes a typed
 //! [`TaskError`] in its output slot instead of tearing down sibling
-//! workers mid-run. The fallible entry points ([`try_par_map`],
-//! [`try_par_map_init_metered`]) expose per-slot `Result`s governed by a
-//! [`TaskPolicy`]: `FailFast` rejects the batch on the first failure,
-//! `Collect { max_failures }` tolerates a bounded number, and
+//! workers mid-run. The fallible entry point
+//! ([`try_par_map_init_metered`]) returns one `Result` per item and never
+//! rejects the batch: the caller decides what its failures cost. Its
 //! `max_attempts` retries *fallible* errors (never panics — a panic may
 //! leave the per-worker scratch in an unspecified state) a bounded,
 //! deterministic number of times on the same worker. The infallible
@@ -82,12 +81,6 @@ pub fn set_max_workers(n: usize) {
     MAX_WORKERS.store(n, Ordering::Relaxed);
 }
 
-/// The current worker override (`0` = auto).
-pub fn max_workers() -> usize {
-    // sync(MAX_WORKERS): standalone config cell, value-only read.
-    MAX_WORKERS.load(Ordering::Relaxed)
-}
-
 /// Number of worker threads for a work list of `len` items: one per
 /// available CPU (or the [`set_max_workers`] override), capped by the
 /// number of items (never zero).
@@ -115,7 +108,7 @@ pub enum TaskError<E> {
     Failed {
         /// The error from the final attempt.
         error: E,
-        /// How many times the task ran (≥ 1, ≤ `TaskPolicy::max_attempts`).
+        /// How many times the task ran (≥ 1, ≤ the batch's `max_attempts`).
         attempts: u32,
     },
 }
@@ -131,69 +124,9 @@ impl<E: std::fmt::Display> std::fmt::Display for TaskError<E> {
     }
 }
 
-/// How a batch reacts to failed slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailurePolicy {
-    /// Any failed slot rejects the whole batch. Unlike the historical
-    /// `resume_unwind` path this is still *isolated*: every sibling task
-    /// completes first, and the reported failure is the one with the
-    /// smallest input index, so the outcome is deterministic.
-    FailFast,
-    /// Tolerate up to `max_failures` failed slots; the batch is rejected
-    /// only past that budget.
-    Collect {
-        /// Maximum number of failed slots the batch absorbs.
-        max_failures: usize,
-    },
-}
-
-/// Per-batch fault-handling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskPolicy {
-    /// Batch-level reaction to failed slots.
-    pub failure: FailurePolicy,
-    /// Upper bound on executions per task (≥ 1). Retries re-run the task
-    /// on the same worker with the same scratch, so a retried success is
-    /// observationally identical to a first-try success for pure tasks.
-    pub max_attempts: u32,
-}
-
-impl Default for TaskPolicy {
-    fn default() -> Self {
-        Self { failure: FailurePolicy::FailFast, max_attempts: 1 }
-    }
-}
-
 /// Per-item outcomes of a fallible batch, one slot per input item in
 /// input order.
 pub type TaskSlots<R, E> = Vec<Result<R, TaskError<E>>>;
-
-/// Outcome of a scratch-carrying fallible batch: the per-item slots plus
-/// the per-worker scratch states, or the batch-level rejection.
-pub type ScratchBatchResult<R, S, E> = Result<(TaskSlots<R, E>, Vec<S>), BatchError<E>>;
-
-/// A batch rejected by its [`FailurePolicy`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchError<E> {
-    /// Input index of the first failed slot.
-    pub index: usize,
-    /// The first failure, by input index.
-    pub error: TaskError<E>,
-    /// Total failed slots in the batch.
-    pub failures: usize,
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for BatchError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} of the batch's tasks failed; first at index {}: {}",
-            self.failures, self.index, self.error
-        )
-    }
-}
-
-impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for BatchError<E> {}
 
 /// Executor metric handles, registered once and reused across stages.
 ///
@@ -271,17 +204,6 @@ where
     results
 }
 
-/// [`par_map`] with executor metrics recorded through `meter`.
-pub fn par_map_metered<T, R, F>(items: &[T], f: F, meter: &ExecMeter) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, _) = par_map_init_metered(items, || (), |(), item| f(item), meter);
-    results
-}
-
 /// Like [`par_map`], but each worker first builds a local state with
 /// `init` and threads it through every item it claims. Use this to hold
 /// per-worker scratch (reusable search state, audit counters) across items.
@@ -315,32 +237,17 @@ where
     par_map_core(items, init, f, Some(meter))
 }
 
-/// Fault-isolated parallel map: each slot is `Ok(value)` or the
-/// [`TaskError`] that emptied it, and the batch as a whole is accepted or
-/// rejected by `policy`. See the module docs for the isolation contract.
-pub fn try_par_map<T, R, E, F>(
-    items: &[T],
-    f: F,
-    policy: TaskPolicy,
-) -> Result<TaskSlots<R, E>, BatchError<E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    let (slots, _) = par_try_core(items, || (), |(), item| f(item), policy.max_attempts, None);
-    apply_policy(slots, policy.failure)
-}
-
-/// [`try_par_map`] with per-worker scratch states and executor metrics.
+/// Fault-isolated parallel map with per-worker scratch states and
+/// executor metrics: each slot is `Ok(value)` or the [`TaskError`] that
+/// emptied it, and a task returning `Err` runs up to `max_attempts` times
+/// (at least once). See the module docs for the isolation contract.
 pub fn try_par_map_init_metered<T, R, S, E, I, F>(
     items: &[T],
     init: I,
     f: F,
-    policy: TaskPolicy,
+    max_attempts: u32,
     meter: &ExecMeter,
-) -> ScratchBatchResult<R, S, E>
+) -> (TaskSlots<R, E>, Vec<S>)
 where
     T: Sync,
     R: Send,
@@ -349,8 +256,8 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> Result<R, E> + Sync,
 {
-    let (slots, states) = par_try_core(items, init, f, policy.max_attempts, Some(meter));
-    apply_policy(slots, policy.failure).map(|slots| (slots, states))
+    let (slots, states) = par_try_core(items, init, f, max_attempts, Some(meter));
+    (slots.into_iter().map(|slot| slot.map_err(RawTaskError::typed)).collect(), states)
 }
 
 /// A slot failure as captured inside the workers: panics keep their raw
@@ -378,37 +285,6 @@ impl<E> RawTaskError<E> {
             }
             RawTaskError::Failed { error, attempts } => TaskError::Failed { error, attempts },
         }
-    }
-}
-
-fn apply_policy<R, E>(
-    slots: Vec<Result<R, RawTaskError<E>>>,
-    policy: FailurePolicy,
-) -> Result<TaskSlots<R, E>, BatchError<E>> {
-    let slots: Vec<Result<R, TaskError<E>>> =
-        slots.into_iter().map(|slot| slot.map_err(RawTaskError::typed)).collect();
-    let failures = slots.iter().filter(|slot| slot.is_err()).count();
-    let budget = match policy {
-        FailurePolicy::FailFast => 0,
-        FailurePolicy::Collect { max_failures } => max_failures,
-    };
-    if failures <= budget {
-        return Ok(slots);
-    }
-    // Reject with the first failure by input index — deterministic no
-    // matter which worker hit it or when.
-    let first = slots
-        .into_iter()
-        .enumerate()
-        .find_map(|(index, slot)| slot.err().map(|error| (index, error)));
-    match first {
-        Some((index, error)) => Err(BatchError { index, error, failures }),
-        // `failures > budget >= 0` implies at least one Err slot exists.
-        None => Err(BatchError {
-            index: 0,
-            error: TaskError::Panicked { message: "failure count without failed slot".into() },
-            failures,
-        }),
     }
 }
 
@@ -609,6 +485,26 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The fallible entry point without scratch, metered into a throwaway
+    /// registry.
+    fn try_map<T: Sync, R: Send, E: Send>(
+        items: &[T],
+        f: impl Fn(&T) -> Result<R, E> + Sync,
+        max_attempts: u32,
+    ) -> TaskSlots<R, E> {
+        let meter = ExecMeter::new(&Registry::new());
+        try_par_map_init_metered(items, || (), |(), item| f(item), max_attempts, &meter).0
+    }
+
+    /// The infallible map, metered through `meter`.
+    fn metered_map<T: Sync, R: Send>(
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+        meter: &ExecMeter,
+    ) -> Vec<R> {
+        par_map_init_metered(items, || (), |(), item| f(item), meter).0
+    }
+
     #[test]
     fn preserves_input_order() {
         let items: Vec<usize> = (0..1000).collect();
@@ -675,7 +571,7 @@ mod tests {
         let registry = Registry::new();
         let meter = ExecMeter::new(&registry);
         let items: Vec<usize> = (0..777).collect();
-        let out = par_map_metered(&items, |&x| x + 1, &meter);
+        let out = metered_map(&items, |&x| x + 1, &meter);
         assert_eq!(out.len(), items.len());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("exec.tasks"), Some(777));
@@ -696,7 +592,7 @@ mod tests {
         let hits = registry.counter("test.hits");
         let weighted = registry.counter("test.weighted");
         let items: Vec<u64> = (0..5000).collect();
-        let out = par_map_metered(
+        let out = metered_map(
             &items,
             |&x| {
                 hits.inc();
@@ -719,14 +615,14 @@ mod tests {
         let meter = ExecMeter::new(&registry);
         let items: Vec<u64> = (0..300).collect();
         let plain = par_map(&items, |&x| x * x);
-        let metered = par_map_metered(&items, |&x| x * x, &meter);
+        let metered = metered_map(&items, |&x| x * x, &meter);
         assert_eq!(plain, metered);
     }
 
     #[test]
     fn panicking_task_is_isolated_into_its_slot() {
         let items: Vec<u32> = (0..100).collect();
-        let slots = try_par_map(
+        let slots = try_map(
             &items,
             |&x| {
                 if x == 37 {
@@ -734,9 +630,8 @@ mod tests {
                 }
                 Ok::<u32, String>(x * 2)
             },
-            TaskPolicy { failure: FailurePolicy::Collect { max_failures: 1 }, max_attempts: 1 },
-        )
-        .unwrap();
+            1,
+        );
         // Every sibling completed; only the poison slot is empty.
         for (i, slot) in slots.iter().enumerate() {
             if i == 37 {
@@ -748,36 +643,6 @@ mod tests {
                 assert_eq!(slot, &Ok(i as u32 * 2));
             }
         }
-    }
-
-    #[test]
-    fn fail_fast_reports_first_failure_by_input_index() {
-        let items: Vec<u32> = (0..256).collect();
-        let err = try_par_map(
-            &items,
-            |&x| if x % 50 == 49 { Err(format!("bad {x}")) } else { Ok(x) },
-            TaskPolicy { failure: FailurePolicy::FailFast, max_attempts: 1 },
-        )
-        .unwrap_err();
-        assert_eq!(err.index, 49);
-        assert_eq!(err.failures, 5);
-        assert_eq!(err.error, TaskError::Failed { error: "bad 49".into(), attempts: 1 });
-    }
-
-    #[test]
-    fn collect_policy_bounds_failures() {
-        let items: Vec<u32> = (0..64).collect();
-        let run = |max_failures| {
-            try_par_map(
-                &items,
-                |&x| if x < 4 { Err(x) } else { Ok(x) },
-                TaskPolicy { failure: FailurePolicy::Collect { max_failures }, max_attempts: 1 },
-            )
-        };
-        assert!(run(4).is_ok());
-        let err = run(3).unwrap_err();
-        assert_eq!(err.failures, 4);
-        assert_eq!(err.index, 0);
     }
 
     #[test]
@@ -800,10 +665,9 @@ mod tests {
                     Err(format!("transient {x}"))
                 }
             },
-            TaskPolicy { failure: FailurePolicy::FailFast, max_attempts: 3 },
+            3,
             &meter,
-        )
-        .unwrap();
+        );
         assert!(slots.iter().all(|s| s.is_ok()));
         let total_tries: u32 = states.iter().flat_map(|m| m.values()).sum();
         let expect_tries: u32 = items.iter().map(|x| x % 3 + 1).sum();
@@ -820,29 +684,23 @@ mod tests {
     #[test]
     fn retry_exhaustion_reports_attempt_count() {
         let items = [1u32];
-        let err = try_par_map(
-            &items,
-            |_| Err::<u32, _>("always"),
-            TaskPolicy { failure: FailurePolicy::FailFast, max_attempts: 3 },
-        )
-        .unwrap_err();
-        assert_eq!(err.error, TaskError::Failed { error: "always", attempts: 3 });
+        let slots = try_map(&items, |_| Err::<u32, _>("always"), 3);
+        assert_eq!(slots, [Err(TaskError::Failed { error: "always", attempts: 3 })]);
     }
 
     #[test]
     fn panics_are_never_retried() {
         let attempts = AtomicUsize::new(0);
         let items = [0u8];
-        let slots = try_par_map(
+        let slots = try_map(
             &items,
             |_| -> Result<u8, String> {
                 attempts.fetch_add(1, Ordering::Relaxed); // sync(attempts): merged by join
                 panic!("boom");
             },
-            TaskPolicy { failure: FailurePolicy::Collect { max_failures: 1 }, max_attempts: 5 },
-        )
-        .unwrap();
-        // sync(attempts): try_par_map joined every worker.
+            5,
+        );
+        // sync(attempts): try_map joined every worker.
         assert_eq!(attempts.load(Ordering::Relaxed), 1);
         assert!(matches!(slots[0], Err(TaskError::Panicked { .. })));
     }
@@ -884,10 +742,9 @@ mod tests {
                 }
                 Ok(x)
             },
-            TaskPolicy { failure: FailurePolicy::Collect { max_failures: 2 }, max_attempts: 1 },
+            1,
             &meter,
         )
-        .unwrap()
         .0;
         assert_eq!(slots.iter().filter(|s| s.is_err()).count(), 2);
         let snap = registry.snapshot();
@@ -898,9 +755,7 @@ mod tests {
     #[test]
     fn max_workers_override_controls_worker_count() {
         // Serialised within one test: the override is process-global.
-        assert_eq!(max_workers(), 0);
         set_max_workers(3);
-        assert_eq!(max_workers(), 3);
         // Taken literally even above available_parallelism, capped by len.
         assert_eq!(worker_count(100), 3);
         assert_eq!(worker_count(2), 2);

@@ -22,8 +22,7 @@ impl fmt::Display for CellId {
 ///
 /// The paper aggregates point speeds and map features into even
 /// 200 m × 200 m cells (§V); this type provides the cell addressing for that
-/// aggregation, for Table 5 and Figs. 6–9, and also serves as the spatial
-/// bucket index of the trip store.
+/// aggregation, for Table 5 and Figs. 6–9.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Grid {
     origin: Point,
@@ -39,11 +38,6 @@ impl Grid {
             "cell size must be positive and finite, got {cell_size}"
         );
         Self { origin, cell_size }
-    }
-
-    /// The paper's 200 m grid anchored at the frame origin.
-    pub fn paper_default() -> Self {
-        Self::new(Point::new(0.0, 0.0), 200.0)
     }
 
     /// Cell edge length in metres.
@@ -88,32 +82,20 @@ impl Grid {
             max_y: min.y + self.cell_size,
         }
     }
-
-    /// All cells overlapping `bbox`, row-major.
-    pub fn cells_in_bbox(&self, bbox: &BBox) -> Vec<CellId> {
-        if bbox.is_empty() {
-            return Vec::new();
-        }
-        let lo = self.cell_of(Point::new(bbox.min_x, bbox.min_y));
-        let hi = self.cell_of(Point::new(bbox.max_x, bbox.max_y));
-        let mut out =
-            Vec::with_capacity(((hi.ix - lo.ix + 1) * (hi.iy - lo.iy + 1)).max(0) as usize);
-        for iy in lo.iy..=hi.iy {
-            for ix in lo.ix..=hi.ix {
-                out.push(CellId { ix, iy });
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's 200 m grid anchored at the frame origin.
+    fn paper_grid() -> Grid {
+        Grid::new(Point::new(0.0, 0.0), 200.0)
+    }
+
     #[test]
     fn cell_addressing_half_open() {
-        let g = Grid::paper_default();
+        let g = paper_grid();
         assert_eq!(g.cell_of(Point::new(0.0, 0.0)), CellId { ix: 0, iy: 0 });
         assert_eq!(g.cell_of(Point::new(199.9, 199.9)), CellId { ix: 0, iy: 0 });
         assert_eq!(g.cell_of(Point::new(200.0, 0.0)), CellId { ix: 1, iy: 0 });
@@ -122,21 +104,11 @@ mod tests {
 
     #[test]
     fn center_is_inside_cell() {
-        let g = Grid::paper_default();
+        let g = paper_grid();
         let c = CellId { ix: 3, iy: -2 };
         let center = g.cell_center(c);
         assert_eq!(g.cell_of(center), c);
         assert_eq!(center, Point::new(700.0, -300.0));
-    }
-
-    #[test]
-    fn bbox_cells_cover_box() {
-        let g = Grid::paper_default();
-        let b = BBox::from_corners(Point::new(-50.0, -50.0), Point::new(250.0, 150.0));
-        let cells = g.cells_in_bbox(&b);
-        assert_eq!(cells.len(), 6); // ix in {-1,0,1}, iy in {-1,0}
-        assert!(cells.contains(&CellId { ix: -1, iy: -1 }));
-        assert!(cells.contains(&CellId { ix: 1, iy: 0 }));
     }
 
     #[test]
@@ -168,7 +140,7 @@ mod proptests {
         /// Neighbouring cells never share interior points.
         #[test]
         fn cells_disjoint(ix in -100i32..100, iy in -100i32..100) {
-            let g = Grid::paper_default();
+            let g = Grid::new(Point::new(0.0, 0.0), 200.0);
             let c = CellId { ix, iy };
             let center = g.cell_center(c);
             prop_assert_eq!(g.cell_of(center), c);

@@ -500,7 +500,7 @@ mod proptests {
         proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3, 0usize..3), 1..10).prop_map(|v| {
             let mut verts = Vec::new();
             for (x, y, repeats) in v {
-                verts.extend(std::iter::repeat(Point::new(x, y)).take(repeats + 1));
+                verts.extend(std::iter::repeat_n(Point::new(x, y), repeats + 1));
             }
             if verts.len() < 2 {
                 verts.push(verts[0]);

@@ -222,8 +222,9 @@ impl OdAnalyzer {
         segments.iter().filter(|seg| self.roads_crossed(seg) >= 2).count()
     }
 
-    /// Reproduces Table 3: one funnel row per taxi.
-    pub fn funnel(&self, segments: &[TripSegment]) -> Vec<FunnelRow> {
+    /// Reproduces Table 3: one funnel row per taxi. `transitions` is what
+    /// [`Self::transitions`] extracted from the same `segments`.
+    pub fn funnel(&self, segments: &[TripSegment], transitions: &[Transition]) -> Vec<FunnelRow> {
         let mut rows: BTreeMap<u16, FunnelRow> = BTreeMap::new();
         for seg in segments {
             rows.entry(seg.taxi.0)
@@ -242,7 +243,7 @@ impl OdAnalyzer {
                 row.filtered_cleaned += 1;
             }
         }
-        for t in self.transitions(segments) {
+        for t in transitions {
             let row = rows
                 .entry(t.taxi.0)
                 .or_insert_with(|| FunnelRow { taxi: t.taxi.0, ..Default::default() });
@@ -517,7 +518,7 @@ mod tests {
             segment(1, &[(9000.0, 9000.0), (9100.0, 9000.0), (9200.0, 9100.0), (9300.0, 9100.0), (9400.0, 9200.0)]),
             segment(2, &[(0.0, -2400.0), (0.0, -2100.0), (0.0, -1500.0)]),
         ];
-        let rows = a.funnel(&segs);
+        let rows = a.funnel(&segs, &a.transitions(&segs));
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.filtered_cleaned <= r.segments_total);

@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn per_cell_counts() {
         let l = layer();
-        let grid = Grid::paper_default();
+        let grid = Grid::new(Point::new(0.0, 0.0), 200.0);
         let area = BBox::from_corners(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
         let counts = l.counts_per_cell(&grid, &area);
         // Cell (0,0): light + stop + crossing.
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn area_filter_excludes_outside() {
         let l = layer();
-        let grid = Grid::paper_default();
+        let grid = Grid::new(Point::new(0.0, 0.0), 200.0);
         let area = BBox::from_corners(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
         let counts = l.counts_per_cell(&grid, &area);
         assert_eq!(counts.len(), 1);

@@ -42,7 +42,7 @@ pub mod snapshot;
 
 pub use epoch::{EpochCell, EpochReader};
 pub use http::{ServeOptions, Server};
-pub use loadgen::{fnv1a, run_load, LoadReport, LoadSpec};
+pub use loadgen::{run_load, LoadReport, LoadSpec};
 pub use snapshot::Snapshot;
 
 // Re-exported so binaries can use the unified surface without naming the

@@ -15,24 +15,10 @@ use std::collections::BTreeSet;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
+use taxitrace_core::fnv1a;
 use taxitrace_traces::Rng;
 
 use crate::snapshot::Snapshot;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// 64-bit FNV-1a over `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Parameters of one load run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,17 +180,5 @@ pub fn run_load(addr: SocketAddr, snapshot: &Snapshot, spec: &LoadSpec) -> LoadR
         errors,
         mix_fingerprint,
         response_fingerprint,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171F73967E8);
     }
 }

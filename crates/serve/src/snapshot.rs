@@ -12,10 +12,9 @@
 use std::path::Path;
 
 use taxitrace_core::{
-    answer, Error, GridStats, QueryEngine, QueryRequest, QueryResponse, Source, Study, StudyConfig,
-    StudyOutput,
+    answer, Error, GridStats, QueryEngine, QueryError, QueryRequest, QueryResponse, Source, Study,
+    StudyConfig, StudyOutput,
 };
-use taxitrace_store::QueryError;
 
 /// An immutable study result prepared for serving: the output plus a
 /// cached all-pairs grid analysis (so `cell_speed` and the default

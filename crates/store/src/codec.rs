@@ -1,18 +1,15 @@
 //! Versioned binary file format for trip data.
 //!
-//! Two container versions are read. **v2** (`b"TTRS\x00\x00\x00\x02"`)
-//! is a self-describing header and per-record CRC framing. **v3**
-//! (`b"TTRS\x00\x00\x00\x03"`), the only format written today, keeps the
-//! v2 header and record framing unchanged and inserts an offset index
-//! between them:
+//! One container is read and written, v3 (`b"TTRS\x00\x00\x00\x03"`): a
+//! self-describing header, an offset index and per-record CRC framing.
 //!
 //! ```text
 //! magic         8 bytes  b"TTRS\x00\x00\x00\x03"
 //! fingerprint   u64      config fingerprint (0 = untagged)
 //! record count  u64
 //! header crc    u32      CRC-32 of the 24 header bytes above
-//! offset index  count × u64   absolute frame-start offset per record   (v3 only)
-//! index crc     u32      CRC-32 of the offset-index bytes              (v3 only)
+//! offset index  count × u64   absolute frame-start offset per record
+//! index crc     u32      CRC-32 of the offset-index bytes
 //! per record:
 //!   len         u64      payload length in bytes
 //!   crc         u32      CRC-32 of the payload
@@ -27,13 +24,13 @@
 //! length check, so [`load`] with [`LoadOptions::salvage`] recovers every
 //! record that still verifies instead of aborting (see [`SalvageReport`]).
 //!
-//! The v3 index buys *seek reads*: [`load`] jumps straight to each record
-//! and decodes a borrowed (zero-copy) slice of the file image, and
-//! [`read_session_indexed`] fetches one record without walking the frames
-//! before it. The record-count field is covered by the header CRC, so the
-//! body start `28 + count*8 + 4` stays computable even when the index
-//! bytes themselves are damaged — salvage then falls back to exactly the
-//! v2 sequential scan and recovers every verifiable record. Writes are
+//! The offset index buys *seek reads*: [`load`] jumps straight to each
+//! record and decodes a borrowed (zero-copy) slice of the file image. The
+//! record-count field is covered by the header CRC, so the body start
+//! `28 + count*8 + 4` stays computable even when the index bytes
+//! themselves are damaged — salvage then falls back to a sequential frame
+//! scan and recovers every verifiable record. Any other magic, the
+//! retired v1 and v2 ones included, is an unknown container. Writes are
 //! atomic everywhere via [`crate::integrity::write_atomic`].
 
 use std::path::Path;
@@ -49,17 +46,15 @@ use taxitrace_traces::{
 use crate::integrity::{crc32, write_atomic};
 use crate::StoreError;
 
-/// Magic prefix of pre-index v2 store files (read-only support).
-pub const MAGIC_V2: [u8; 8] = *b"TTRS\x00\x00\x00\x02";
-/// Magic prefix of v3 store files (the format written today).
+/// Magic prefix of store files.
 pub const MAGIC_V3: [u8; 8] = *b"TTRS\x00\x00\x00\x03";
 
-/// v2/v3 fixed header size: magic + fingerprint + record count + CRC.
-const V2_HEADER_LEN: usize = 8 + 8 + 8 + 4;
-/// CRC-32 trailer after the v3 offset index.
-const V3_INDEX_CRC_LEN: usize = 4;
-/// v2 per-record frame: payload length + payload CRC.
-const V2_FRAME_LEN: usize = 8 + 4;
+/// Fixed header size: magic + fingerprint + record count + CRC.
+const HEADER_LEN: usize = 8 + 8 + 8 + 4;
+/// CRC-32 trailer after the offset index.
+const INDEX_CRC_LEN: usize = 4;
+/// Per-record frame: payload length + payload CRC.
+const FRAME_LEN: usize = 8 + 4;
 /// Cap on individually reported torn-tail records; a torn tail that loses
 /// more is summarised in the final damage entry so a corrupt header count
 /// cannot balloon the report.
@@ -77,7 +72,7 @@ pub enum DamageKind {
     /// The header is unusable (bad magic, failed header CRC) or disagrees
     /// with the file body (declared count vs. records present).
     HeaderMismatch,
-    /// The v3 offset index failed its CRC. The records themselves are
+    /// The offset index failed its CRC. The records themselves are
     /// unaffected — salvage recovers them by sequential scan — but seek
     /// reads are off the table until the file is rewritten.
     CorruptIndex,
@@ -109,9 +104,9 @@ pub struct RecordDamage {
 
 /// Integrity summary of one store file: what the header claims, what was
 /// actually recovered, and every piece of damage encountered.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SalvageReport {
-    /// Container version (2 or 3; 0 when the magic was unrecognised).
+    /// Container version (3; 0 when the magic was unrecognised).
     pub version: u32,
     /// Config fingerprint from the header (0 for untagged files).
     pub fingerprint: u64,
@@ -139,83 +134,48 @@ pub struct Salvage {
     pub report: SalvageReport,
 }
 
-/// Writes sessions to `path` as an untagged v3 container (fingerprint 0).
+/// Writes sessions to `path` as an untagged container (fingerprint 0).
 pub fn save_sessions(path: &Path, sessions: &[RawTrip]) -> Result<(), StoreError> {
     save_sessions_tagged(path, sessions, 0)
 }
 
-/// Writes sessions to `path` as a v3 container (offset index + CRC'd
-/// record frames) stamped with the given config fingerprint. The write is
-/// atomic: temp file + fsync + rename.
+/// Writes sessions to `path` (offset index + CRC'd record frames) stamped
+/// with the given config fingerprint. The write is atomic: temp file +
+/// fsync + rename.
 ///
 /// The image is built in one buffer: the offset index is laid down as
-/// zeros and each slot is patched as its record is framed.
+/// zeros and each slot is patched as its record is framed, and each
+/// record is encoded in place after a zeroed length + CRC slot, which is
+/// patched in turn.
 pub fn save_sessions_tagged(
     path: &Path,
     sessions: &[RawTrip],
     fingerprint: u64,
 ) -> Result<(), StoreError> {
     let mut out = BytesMut::new();
-    put_header(&mut out, MAGIC_V3, fingerprint, sessions.len())?;
+    out.put_slice(&MAGIC_V3);
+    out.put_u64_le(fingerprint);
+    out.put_u64_le(checked_u64(sessions.len(), "session count")?);
+    let header_crc = crc32(&out);
+    out.put_u32_le(header_crc);
     let index_start = out.len();
     let index_end = index_start + sessions.len() * 8;
-    out.put_bytes(0, index_end - index_start + V3_INDEX_CRC_LEN);
+    out.put_bytes(0, index_end - index_start + INDEX_CRC_LEN);
     for (slot, s) in (index_start..index_end).step_by(8).zip(sessions) {
-        let offset = checked_u64(out.len(), "record offset")?;
+        let frame = out.len();
+        let offset = checked_u64(frame, "record offset")?;
         out[slot..slot + 8].copy_from_slice(&offset.to_le_bytes());
-        put_frame(&mut out, s)?;
+        let payload = frame + FRAME_LEN;
+        out.put_bytes(0, FRAME_LEN);
+        encode_session(&mut out, s)?;
+        let len = checked_u64(out.len() - payload, "session record length")?;
+        let crc = crc32(&out[payload..]);
+        out[frame..frame + 8].copy_from_slice(&len.to_le_bytes());
+        out[frame + 8..payload].copy_from_slice(&crc.to_le_bytes());
     }
     let index_crc = crc32(&out[index_start..index_end]);
-    out[index_end..index_end + V3_INDEX_CRC_LEN].copy_from_slice(&index_crc.to_le_bytes());
+    out[index_end..index_end + INDEX_CRC_LEN].copy_from_slice(&index_crc.to_le_bytes());
     write_atomic(path, &out)?;
-    Ok(())
-}
-
-/// Writes sessions in the pre-index v2 layout (header + CRC'd frames, no
-/// offset index). Kept for compatibility fixtures and the scan-vs-seek
-/// benchmarks — new data should always go through [`save_sessions`].
-pub fn save_sessions_v2_tagged(
-    path: &Path,
-    sessions: &[RawTrip],
-    fingerprint: u64,
-) -> Result<(), StoreError> {
-    let mut out = BytesMut::new();
-    put_header(&mut out, MAGIC_V2, fingerprint, sessions.len())?;
-    for s in sessions {
-        put_frame(&mut out, s)?;
-    }
-    write_atomic(path, &out)?;
-    Ok(())
-}
-
-/// Appends the fixed header: magic, fingerprint, record count and the
-/// CRC of those 24 bytes.
-fn put_header(
-    out: &mut BytesMut,
-    magic: [u8; 8],
-    fingerprint: u64,
-    count: usize,
-) -> Result<(), StoreError> {
-    let start = out.len();
-    out.put_slice(&magic);
-    out.put_u64_le(fingerprint);
-    out.put_u64_le(checked_u64(count, "session count")?);
-    let crc = crc32(&out[start..]);
-    out.put_u32_le(crc);
-    Ok(())
-}
-
-/// Appends one record frame: the session is encoded in place after a
-/// zeroed length + CRC slot, which is then patched.
-fn put_frame(out: &mut BytesMut, s: &RawTrip) -> Result<(), StoreError> {
-    let frame = out.len();
-    let payload = frame + V2_FRAME_LEN;
-    out.put_bytes(0, V2_FRAME_LEN);
-    encode_session(out, s)?;
-    let len = checked_u64(out.len() - payload, "session record length")?;
-    let crc = crc32(&out[payload..]);
-    out[frame..frame + 8].copy_from_slice(&len.to_le_bytes());
-    out[frame + 8..payload].copy_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 
@@ -243,36 +203,28 @@ impl LoadOptions {
 }
 
 /// Result of a [`load`]: the sessions plus full provenance — the
-/// integrity report and whether the v3 offset index served the read
+/// integrity report and whether the offset index served the read
 /// (seek + zero-copy payloads) rather than the sequential scan.
 #[derive(Debug, Clone)]
 pub struct LoadOutcome {
     /// Sessions that verified and decoded, in file order.
     pub sessions: Vec<RawTrip>,
-    /// Per-file integrity report; clean v3 reads synthesize a clean one.
+    /// Per-file integrity report; clean indexed reads carry a clean one.
     pub report: SalvageReport,
-    /// True when the v3 offset index served the read. The pipeline
-    /// reports this as the `store.indexed_reads` counter.
+    /// True when the offset index served the read. The pipeline reports
+    /// this as the `store.indexed_reads` counter.
     pub indexed: bool,
 }
 
-impl LoadOutcome {
-    /// The outcome reshaped as a [`Salvage`] (sessions + report).
-    pub fn into_salvage(self) -> Salvage {
-        Salvage { sessions: self.sessions, report: self.report }
-    }
-}
-
-/// Reads sessions from `path`, accepting v2 and v3 containers. The
-/// single store read entry point: a clean v3 file is served through the offset-index fast path; older
-/// layouts and files with *any* verification failure go through the
-/// sequential salvage scan so damage is named precisely. With
-/// [`LoadOptions::strict`] the first damage entry becomes a
-/// [`StoreError::BadFormat`]; with [`LoadOptions::salvage`] damage never
-/// fails the read — the worst case (unrecognised magic, failed header
-/// CRC) yields zero sessions and one [`DamageKind::HeaderMismatch`]
-/// entry in the report. Only I/O errors reading the file are fatal in
-/// salvage mode.
+/// Reads sessions from `path`. The single store read entry point: a clean
+/// file is served through the offset-index fast path; a file with *any*
+/// verification failure goes through the sequential salvage scan so
+/// damage is named precisely. With [`LoadOptions::strict`] the first
+/// damage entry becomes a [`StoreError::BadFormat`]; with
+/// [`LoadOptions::salvage`] damage never fails the read — the worst case
+/// (unrecognised magic, failed header CRC) yields zero sessions and one
+/// [`DamageKind::HeaderMismatch`] entry in the report. Only I/O errors
+/// reading the file are fatal in salvage mode.
 pub fn load(path: &Path, opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
     let raw = Bytes::from(std::fs::read(path)?);
     load_bytes(&raw, opts)
@@ -280,18 +232,8 @@ pub fn load(path: &Path, opts: &LoadOptions) -> Result<LoadOutcome, StoreError> 
 
 /// [`load`] over an in-memory image (serving snapshots, fsck, tests).
 pub fn load_bytes(raw: &Bytes, opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
-    // Any verification failure on the fast path falls through to the
-    // scan, whose salvage report names the damage precisely.
-    if let Ok(Some(loaded)) = indexed_load_bytes(raw) {
-        let n = loaded.sessions.len() as u64;
-        let report = SalvageReport {
-            version: 3,
-            fingerprint: loaded.fingerprint,
-            records_declared: n,
-            records_valid: n,
-            damage: Vec::new(),
-        };
-        return Ok(LoadOutcome { sessions: loaded.sessions, report, indexed: true });
+    if let Some(Salvage { sessions, report }) = indexed_load_bytes(raw) {
+        return Ok(LoadOutcome { sessions, report, indexed: true });
     }
     let salvage = salvage_bytes(raw);
     match salvage.report.damage.first() {
@@ -312,16 +254,9 @@ pub fn load_bytes(raw: &Bytes, opts: &LoadOptions) -> Result<LoadOutcome, StoreE
 /// The salvage scan over an in-memory image (fsck, tests): recovers every
 /// record that verifies and reports the rest as typed damage.
 pub fn salvage_bytes(raw: &[u8]) -> Salvage {
-    let mut report = SalvageReport {
-        version: 0,
-        fingerprint: 0,
-        records_declared: 0,
-        records_valid: 0,
-        damage: Vec::new(),
-    };
-    let header = match parse_header(raw, &mut report) {
-        Some(h) => h,
-        None => return Salvage { sessions: Vec::new(), report },
+    let mut report = SalvageReport::default();
+    let Some(header) = parse_header(raw, &mut report) else {
+        return Salvage { sessions: Vec::new(), report };
     };
     let sessions = salvage_records(raw, header, &mut report);
     report.records_valid = sessions.len() as u64;
@@ -333,20 +268,13 @@ pub fn salvage_bytes(raw: &[u8]) -> Salvage {
 /// unreadable header; used by the on-disk chaos injector to aim bit
 /// flips at record payloads and duplicate whole frames deterministically.
 pub fn record_spans(raw: &[u8]) -> Result<Vec<RecordSpan>, StoreError> {
-    let mut report = SalvageReport {
-        version: 0,
-        fingerprint: 0,
-        records_declared: 0,
-        records_valid: 0,
-        damage: Vec::new(),
-    };
-    let header = parse_header(raw, &mut report)
+    let header = parse_header(raw, &mut SalvageReport::default())
         .ok_or_else(|| StoreError::BadFormat("unreadable store header".into()))?;
     let mut spans = Vec::new();
     let mut offset = header.body_start;
-    while raw.len() - offset >= V2_FRAME_LEN {
+    while raw.len() - offset >= FRAME_LEN {
         let len = read_u64_at(raw, offset);
-        let payload_at = offset + V2_FRAME_LEN;
+        let payload_at = offset + FRAME_LEN;
         let Some(end) = payload_end(payload_at, len, raw.len()) else { break };
         spans.push(RecordSpan { frame_start: offset, payload_start: payload_at, end });
         offset = end;
@@ -354,134 +282,50 @@ pub fn record_spans(raw: &[u8]) -> Result<Vec<RecordSpan>, StoreError> {
     Ok(spans)
 }
 
-/// Result of a v3 indexed load: the sessions plus the header fingerprint.
-#[derive(Debug, Clone)]
-struct IndexedLoad {
-    /// Sessions in file order.
-    sessions: Vec<RawTrip>,
-    /// Config fingerprint from the header (0 = untagged).
-    fingerprint: u64,
-}
-
-/// Verified v3 header + offset index of an image.
-struct V3Index {
-    fingerprint: u64,
-    declared: usize,
-    body_start: usize,
-}
-
-/// Parses and CRC-verifies the v3 header and offset index of `raw`.
-/// `Ok(None)` when the image is not v3; an error when it is v3 but the
-/// header or index fails verification.
-fn parse_v3_index(raw: &[u8]) -> Result<Option<V3Index>, StoreError> {
-    if raw.len() < 8 || raw[..8] != MAGIC_V3 {
-        return Ok(None);
-    }
-    if raw.len() < V2_HEADER_LEN {
-        return Err(StoreError::BadFormat("file too short for v3 header".into()));
-    }
-    let stored = u32::from_le_bytes([raw[24], raw[25], raw[26], raw[27]]);
-    if stored != crc32(&raw[..24]) {
-        return Err(StoreError::BadFormat("v3 header CRC mismatch".into()));
-    }
-    let fingerprint = read_u64_at(raw, 8);
-    let declared64 = read_u64_at(raw, 16);
-    let body_start = v3_body_start(declared64, raw.len())
-        .ok_or_else(|| StoreError::BadFormat("file too short for v3 offset index".into()))?;
-    let index_end = body_start - V3_INDEX_CRC_LEN;
-    let stored_idx = u32::from_le_bytes([
-        raw[index_end],
-        raw[index_end + 1],
-        raw[index_end + 2],
-        raw[index_end + 3],
-    ]);
-    if stored_idx != crc32(&raw[V2_HEADER_LEN..index_end]) {
-        return Err(StoreError::BadFormat("v3 offset index CRC mismatch".into()));
-    }
-    // v3_body_start verified declared fits usize.
-    let declared = declared64 as usize;
-    Ok(Some(V3Index { fingerprint, declared, body_start }))
-}
-
-/// Decodes the framed record at absolute offset `off` of a v3 image,
-/// borrowing the payload from `raw` (zero-copy: the returned session is
-/// built from a refcounted slice, not a fresh buffer). Strict: CRC
-/// failure, truncation or trailing payload bytes are errors.
-fn decode_record_at(raw: &Bytes, off: usize, index: u64) -> Result<(RawTrip, usize), StoreError> {
-    if raw.len().saturating_sub(off) < V2_FRAME_LEN {
-        return Err(StoreError::BadFormat(format!("record {index} frame overruns file")));
+/// Decodes the framed record at absolute offset `off`, borrowing the
+/// payload from `raw` (zero-copy: the returned session is built from a
+/// refcounted slice, not a fresh buffer). Strict: CRC failure, truncation
+/// or trailing payload bytes yield `None`.
+fn decode_record_at(raw: &Bytes, off: usize) -> Option<(RawTrip, usize)> {
+    if raw.len().saturating_sub(off) < FRAME_LEN {
+        return None;
     }
     let len = read_u64_at(raw, off);
-    let stored = u32::from_le_bytes([raw[off + 8], raw[off + 9], raw[off + 10], raw[off + 11]]);
-    let payload_at = off + V2_FRAME_LEN;
-    let end = payload_end(payload_at, len, raw.len())
-        .ok_or_else(|| StoreError::BadFormat(format!("record {index} payload overruns file")))?;
+    let payload_at = off + FRAME_LEN;
+    let end = payload_end(payload_at, len, raw.len())?;
     let mut payload = raw.slice(payload_at..end);
-    if crc32(&payload) != stored {
-        return Err(StoreError::BadFormat(format!("record {index} payload CRC mismatch")));
+    if crc32(&payload) != read_u32_at(raw, off + 8) {
+        return None;
     }
-    let session = decode_session(&mut payload)?;
-    if payload.remaining() != 0 {
-        return Err(StoreError::BadFormat(format!(
-            "record {index} has {} undecoded payload bytes",
-            payload.remaining()
-        )));
-    }
-    Ok((session, end))
+    let session = decode_session(&mut payload).ok()?;
+    (payload.remaining() == 0).then_some((session, end))
 }
 
-/// Zero-copy indexed read of a whole v3 image: seeks each record via the
+/// Zero-copy indexed read of a whole image: seeks each record via the
 /// offset index and decodes payload slices borrowed from `raw` — no
-/// full-file scan, no per-payload copies. Strict: offsets must tile the
-/// body exactly through to the end of the file, and every record must
-/// verify. Returns `Ok(None)` for v2 images (use the scan path) and
-/// an error on any damage, so [`load_bytes`] can fall back to
-/// [`salvage_bytes`] for a typed report.
-fn indexed_load_bytes(raw: &Bytes) -> Result<Option<IndexedLoad>, StoreError> {
-    let Some(index) = parse_v3_index(raw)? else { return Ok(None) };
-    let mut sessions = Vec::with_capacity(index.declared.min(1 << 20));
-    let mut expected = index.body_start;
-    for i in 0..index.declared {
-        let off64 = read_u64_at(raw, V2_HEADER_LEN + i * 8);
-        let off = usize::try_from(off64)
-            .map_err(|_| StoreError::BadFormat(format!("record {i} offset {off64} overflows")))?;
-        if off != expected {
-            return Err(StoreError::BadFormat(format!(
-                "record {i} offset {off} disagrees with record layout ({expected})"
-            )));
+/// full-file scan, no per-payload copies. It is [`parse_header`] with no
+/// damage reported, offsets that tile the body exactly through to the
+/// end of the file, and every record verifying; anything else is `None`,
+/// so [`load_bytes`] falls back to [`salvage_bytes`] for a typed report.
+fn indexed_load_bytes(raw: &Bytes) -> Option<Salvage> {
+    let mut report = SalvageReport::default();
+    let header = parse_header(raw, &mut report).filter(|_| report.is_clean())?;
+    let mut sessions = Vec::with_capacity(header.declared.min(1 << 20) as usize);
+    let mut expected = header.body_start;
+    // parse_header verified that the whole index lies inside the file.
+    for slot in (HEADER_LEN..header.body_start - INDEX_CRC_LEN).step_by(8) {
+        if usize::try_from(read_u64_at(raw, slot)).ok()? != expected {
+            return None;
         }
-        let (session, end) = decode_record_at(raw, off, i as u64)?;
+        let (session, end) = decode_record_at(raw, expected)?;
         sessions.push(session);
         expected = end;
     }
     if expected != raw.len() {
-        return Err(StoreError::BadFormat(format!(
-            "{} trailing bytes after the last indexed record",
-            raw.len() - expected
-        )));
+        return None;
     }
-    Ok(Some(IndexedLoad { sessions, fingerprint: index.fingerprint }))
-}
-
-/// Seek-reads record `i` of a v3 image via the offset index, decoding
-/// only that record — the frames before it are never walked. `Ok(None)`
-/// when the image is not v3 or `i` is out of range.
-pub fn read_session_indexed(raw: &Bytes, i: usize) -> Result<Option<RawTrip>, StoreError> {
-    let Some(index) = parse_v3_index(raw)? else { return Ok(None) };
-    if i >= index.declared {
-        return Ok(None);
-    }
-    let off64 = read_u64_at(raw, V2_HEADER_LEN + i * 8);
-    let off = usize::try_from(off64)
-        .map_err(|_| StoreError::BadFormat(format!("record {i} offset {off64} overflows")))?;
-    if off < index.body_start {
-        return Err(StoreError::BadFormat(format!(
-            "record {i} offset {off} points before the body ({})",
-            index.body_start
-        )));
-    }
-    let (session, _) = decode_record_at(raw, off, i as u64)?;
-    Ok(Some(session))
+    report.records_valid = report.records_declared;
+    Some(Salvage { sessions, report })
 }
 
 /// Parsed, verified container header.
@@ -490,111 +334,67 @@ struct Header {
     body_start: usize,
 }
 
+/// Parses and CRC-verifies the header and offset index of `raw`, filling
+/// in the report's version, fingerprint and declared count. `None` when
+/// the header is unusable, reported as [`DamageKind::HeaderMismatch`]. A
+/// damaged offset index is reported as [`DamageKind::CorruptIndex`] but
+/// still yields the header: the records are recovered by sequential scan.
 fn parse_header(raw: &[u8], report: &mut SalvageReport) -> Option<Header> {
+    let mismatch =
+        |detail: String| RecordDamage { index: 0, kind: DamageKind::HeaderMismatch, detail };
     if raw.len() < 8 {
-        report.damage.push(RecordDamage {
-            index: 0,
-            kind: DamageKind::HeaderMismatch,
-            detail: format!("file too short for magic ({} bytes)", raw.len()),
-        });
+        report.damage.push(mismatch(format!("file too short for magic ({} bytes)", raw.len())));
         return None;
     }
-    let magic = &raw[..8];
-    if magic == MAGIC_V3 {
-        report.version = 3;
-        if raw.len() < V2_HEADER_LEN {
-            report.damage.push(RecordDamage {
-                index: 0,
-                kind: DamageKind::HeaderMismatch,
-                detail: format!("file too short for v3 header ({} bytes)", raw.len()),
-            });
-            return None;
-        }
-        let stored = u32::from_le_bytes([raw[24], raw[25], raw[26], raw[27]]);
-        let actual = crc32(&raw[..24]);
-        if stored != actual {
-            report.damage.push(RecordDamage {
-                index: 0,
-                kind: DamageKind::HeaderMismatch,
-                detail: format!("header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"),
-            });
-            return None;
-        }
-        report.fingerprint = read_u64_at(raw, 8);
-        report.records_declared = read_u64_at(raw, 16);
-        // The CRC-protected count fixes where the body starts even when
-        // the index bytes themselves are damaged.
-        let Some(body_start) = v3_body_start(report.records_declared, raw.len()) else {
-            report.damage.push(RecordDamage {
-                index: 0,
-                kind: DamageKind::HeaderMismatch,
-                detail: format!(
-                    "file too short for {}-entry offset index ({} bytes)",
-                    report.records_declared,
-                    raw.len()
-                ),
-            });
-            return None;
-        };
-        let index_end = body_start - V3_INDEX_CRC_LEN;
-        let stored_idx = u32::from_le_bytes([
-            raw[index_end],
-            raw[index_end + 1],
-            raw[index_end + 2],
-            raw[index_end + 3],
-        ]);
-        let actual_idx = crc32(&raw[V2_HEADER_LEN..index_end]);
-        if stored_idx != actual_idx {
-            // Index damage does not stop the read: records are still
-            // recovered by the sequential scan below.
-            report.damage.push(RecordDamage {
-                index: 0,
-                kind: DamageKind::CorruptIndex,
-                detail: format!(
-                    "offset index CRC mismatch (stored {stored_idx:#010x}, computed {actual_idx:#010x})"
-                ),
-            });
-        }
-        Some(Header { declared: report.records_declared, body_start })
-    } else if magic == MAGIC_V2 {
-        if raw.len() < V2_HEADER_LEN {
-            report.version = 2;
-            report.damage.push(RecordDamage {
-                index: 0,
-                kind: DamageKind::HeaderMismatch,
-                detail: format!("file too short for v2 header ({} bytes)", raw.len()),
-            });
-            return None;
-        }
-        report.version = 2;
-        let stored = u32::from_le_bytes([raw[24], raw[25], raw[26], raw[27]]);
-        let actual = crc32(&raw[..24]);
-        if stored != actual {
-            report.damage.push(RecordDamage {
-                index: 0,
-                kind: DamageKind::HeaderMismatch,
-                detail: format!("header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"),
-            });
-            return None;
-        }
-        report.fingerprint = read_u64_at(raw, 8);
-        report.records_declared = read_u64_at(raw, 16);
-        Some(Header { declared: report.records_declared, body_start: V2_HEADER_LEN })
-    } else {
+    if raw[..8] != MAGIC_V3 {
+        report.damage.push(mismatch("magic mismatch".into()));
+        return None;
+    }
+    report.version = 3;
+    if raw.len() < HEADER_LEN {
+        report.damage.push(mismatch(format!("file too short for v3 header ({} bytes)", raw.len())));
+        return None;
+    }
+    let stored = read_u32_at(raw, 24);
+    let actual = crc32(&raw[..24]);
+    if stored != actual {
+        report.damage.push(mismatch(format!(
+            "header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+        )));
+        return None;
+    }
+    report.fingerprint = read_u64_at(raw, 8);
+    report.records_declared = read_u64_at(raw, 16);
+    // The CRC-protected count fixes where the body starts even when the
+    // index bytes themselves are damaged.
+    let Some(body_start) = body_start(report.records_declared, raw.len()) else {
+        report.damage.push(mismatch(format!(
+            "file too short for {}-entry offset index ({} bytes)",
+            report.records_declared,
+            raw.len()
+        )));
+        return None;
+    };
+    let index_end = body_start - INDEX_CRC_LEN;
+    let stored_idx = read_u32_at(raw, index_end);
+    let actual_idx = crc32(&raw[HEADER_LEN..index_end]);
+    if stored_idx != actual_idx {
         report.damage.push(RecordDamage {
             index: 0,
-            kind: DamageKind::HeaderMismatch,
-            detail: "magic mismatch".into(),
+            kind: DamageKind::CorruptIndex,
+            detail: format!(
+                "offset index CRC mismatch (stored {stored_idx:#010x}, computed {actual_idx:#010x})"
+            ),
         });
-        None
     }
+    Some(Header { declared: report.records_declared, body_start })
 }
 
-/// Body offset of a v3 container with `declared` records, or `None` when
+/// Body offset of a container with `declared` records, or `None` when
 /// the file cannot hold that index (overflow or truncation inside it).
-fn v3_body_start(declared: u64, file_len: usize) -> Option<usize> {
+fn body_start(declared: u64, file_len: usize) -> Option<usize> {
     let index_bytes = usize::try_from(declared).ok()?.checked_mul(8)?;
-    let body_start = V2_HEADER_LEN.checked_add(index_bytes)?.checked_add(V3_INDEX_CRC_LEN)?;
+    let body_start = HEADER_LEN.checked_add(index_bytes)?.checked_add(INDEX_CRC_LEN)?;
     (body_start <= file_len).then_some(body_start)
 }
 
@@ -609,12 +409,12 @@ fn salvage_records(raw: &[u8], header: Header, report: &mut SalvageReport) -> Ve
     let mut torn: Option<String> = None;
     while offset < raw.len() {
         let remaining = raw.len() - offset;
-        if remaining < V2_FRAME_LEN {
-            torn = Some(format!("{remaining} bytes left, record frame needs {V2_FRAME_LEN}"));
+        if remaining < FRAME_LEN {
+            torn = Some(format!("{remaining} bytes left, record frame needs {FRAME_LEN}"));
             break;
         }
         let len = read_u64_at(raw, offset);
-        let payload_at = offset + V2_FRAME_LEN;
+        let payload_at = offset + FRAME_LEN;
         let Some(end) = payload_end(payload_at, len, raw.len()) else {
             torn = Some(format!(
                 "record claims {len} bytes, only {} remain",
@@ -623,12 +423,7 @@ fn salvage_records(raw: &[u8], header: Header, report: &mut SalvageReport) -> Ve
             break;
         };
         let payload = &raw[payload_at..end];
-        let stored = u32::from_le_bytes([
-            raw[offset + 8],
-            raw[offset + 9],
-            raw[offset + 10],
-            raw[offset + 11],
-        ]);
+        let stored = read_u32_at(raw, offset + 8);
         let actual = crc32(payload);
         if stored != actual {
             report.damage.push(RecordDamage {
@@ -701,6 +496,12 @@ fn push_torn_tail(report: &mut SalvageReport, index: u64, declared: u64, detail:
             },
         });
     }
+}
+
+fn read_u32_at(raw: &[u8], at: usize) -> u32 {
+    let mut b = [0u8; 4];
+    b.copy_from_slice(&raw[at..at + 4]);
+    u32::from_le_bytes(b)
 }
 
 fn read_u64_at(raw: &[u8], at: usize) -> u64 {
@@ -1042,23 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_index_v2_files_still_load() {
-        let path = tmp_path("v2.tts");
-        let sessions = sample_sessions(4);
-        save_sessions_v2_tagged(&path, &sessions, 0xBEEF).unwrap();
-        assert_eq!(load(&path, &LoadOptions::strict()).unwrap().sessions, sessions);
-        let salvage = load(&path, &LoadOptions::salvage()).unwrap();
-        assert!(salvage.report.is_clean());
-        assert_eq!(salvage.report.version, 2);
-        assert_eq!(salvage.report.fingerprint, 0xBEEF);
-        assert!(!salvage.indexed, "v2 files go through the scan path");
-        // No index to seek for single-record reads either.
-        let raw = Bytes::from(std::fs::read(&path).unwrap());
-        assert!(read_session_indexed(&raw, 0).unwrap().is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn indexed_load_matches_scan() {
         let path = tmp_path("indexed.tts");
         let sessions = sample_sessions(9);
@@ -1075,30 +859,16 @@ mod tests {
     }
 
     #[test]
-    fn indexed_single_record_seek() {
-        let path = tmp_path("seek.tts");
-        let sessions = sample_sessions(7);
-        save_sessions(&path, &sessions).unwrap();
-        let raw = Bytes::from(std::fs::read(&path).unwrap());
-        for (i, expect) in sessions.iter().enumerate() {
-            let got = read_session_indexed(&raw, i).unwrap().unwrap();
-            assert_eq!(&got, expect);
-        }
-        assert!(read_session_indexed(&raw, 7).unwrap().is_none(), "out of range");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn corrupt_index_still_salvages_every_record() {
         let path = tmp_path("badindex.tts");
         let sessions = sample_sessions(5);
         save_sessions(&path, &sessions).unwrap();
         let mut raw = std::fs::read(&path).unwrap();
         // Flip a bit inside the offset index (first entry).
-        raw[V2_HEADER_LEN + 2] ^= 0x40;
+        raw[HEADER_LEN + 2] ^= 0x40;
         // Fast path refuses...
         let bytes = Bytes::from(raw.clone());
-        assert!(indexed_load_bytes(&bytes).is_err());
+        assert!(indexed_load_bytes(&bytes).is_none());
         // ...but the sequential scan recovers everything, flagging the index.
         let salvage = salvage_bytes(&raw);
         assert_eq!(salvage.report.version, 3);
@@ -1248,22 +1018,24 @@ mod tests {
         assert_eq!(salvage.report.records_valid, 0);
         assert_eq!(salvage.report.damage.len(), 1);
         assert_eq!(salvage.report.damage[0].kind, DamageKind::HeaderMismatch);
-        // A flipped bit *inside* the v2 header (count field) fails the
+        // A flipped bit *inside* the header (count field) fails the
         // header CRC rather than being trusted.
         let mut raw2 = std::fs::read(&path).unwrap();
         raw2[16] ^= 0x01;
         let salvage2 = salvage_bytes(&raw2);
         assert_eq!(salvage2.report.damage[0].kind, DamageKind::HeaderMismatch);
         assert!(salvage2.report.damage[0].detail.contains("header CRC"));
-        // The retired v1 magic (no checksums, nothing writes it) is an
-        // unknown container: typed header damage, not a panic.
-        let mut v1 = std::fs::read(&path).unwrap();
-        v1[..8].copy_from_slice(b"TTRS\x00\x00\x00\x01");
-        let salvage3 = salvage_bytes(&v1);
-        assert_eq!((salvage3.report.version, salvage3.report.records_valid), (0, 0));
-        assert_eq!(salvage3.report.damage.len(), 1);
-        assert_eq!(salvage3.report.damage[0].kind, DamageKind::HeaderMismatch);
-        assert!(load_bytes(&Bytes::from(v1), &LoadOptions::strict()).is_err());
+        // The retired v1 and v2 magics (nothing writes them) are unknown
+        // containers: typed header damage, not a panic.
+        for magic in [b"TTRS\x00\x00\x00\x01", b"TTRS\x00\x00\x00\x02"] {
+            let mut old = std::fs::read(&path).unwrap();
+            old[..8].copy_from_slice(magic);
+            let salvage3 = salvage_bytes(&old);
+            assert_eq!((salvage3.report.version, salvage3.report.records_valid), (0, 0));
+            assert_eq!(salvage3.report.damage.len(), 1);
+            assert_eq!(salvage3.report.damage[0].kind, DamageKind::HeaderMismatch);
+            assert!(load_bytes(&Bytes::from(old), &LoadOptions::strict()).is_err());
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,8 +8,7 @@
 //! * a damaged **store** is rewritten as a clean v3 file
 //!   from its salvageable records, deduplicated by trip id, under the
 //!   same fingerprint — the atomic writer guarantees the original stays
-//!   intact if the rewrite dies (clean pre-index v2 files are left
-//!   untouched: they still read fine via the scan path);
+//!   intact if the rewrite dies;
 //! * a damaged **checkpoint** is removed: checkpoints carry no primary
 //!   data (the pipeline recomputes the stage), so deletion *is* the
 //!   repair — resume treats the missing file as "stage not done".
@@ -46,7 +45,8 @@ pub struct FsckReport {
     pub path: PathBuf,
     /// Container family.
     pub kind: FileKind,
-    /// Container version (2 or 3; 0 when the header was unreadable).
+    /// Container version (3 for stores, 2 for checkpoints; 0 when the
+    /// header was unreadable).
     pub version: u32,
     /// Config fingerprint from the header (0 = untagged / unreadable).
     pub fingerprint: u64,
@@ -155,7 +155,7 @@ fn fsck_store(path: &Path, repair: bool) -> Result<FsckReport, StoreError> {
         damage: salvage.report.damage,
         repaired: None,
     };
-    // An unreadable header (version 0 or a failed v2 header CRC) leaves
+    // An unreadable header (version 0 or a failed header CRC) leaves
     // nothing trustworthy to rewrite from; repair only when the header
     // parsed and there is damage to shed.
     let header_usable = report.version != 0
@@ -225,7 +225,8 @@ fn fsck_checkpoint(path: &Path, repair: bool) -> Result<FsckReport, StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{record_spans, save_sessions, save_sessions_v2_tagged};
+    use crate::codec::{load, record_spans, save_sessions};
+    use crate::LoadOptions;
     use taxitrace_geo::{GeoPoint, Point};
     use taxitrace_timebase::{Duration, Timestamp};
     use taxitrace_traces::{PointTruth, RawTrip, RoutePoint, TaxiId, TripId};
@@ -309,21 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_pre_index_v2_store_is_left_untouched() {
-        let dir = tmp_dir("v2-clean");
-        let path = dir.join("old.tts");
-        let sessions: Vec<_> = (1..=3).map(session).collect();
-        save_sessions_v2_tagged(&path, &sessions, 7).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        let fix = fsck_path(&path, true).unwrap();
-        assert_eq!(fix[0].version, 2);
-        assert!(fix[0].is_clean());
-        assert!(fix[0].repaired.is_none(), "clean v2 is not upgraded");
-        assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_offset_index_is_repaired_by_rewrite() {
         let dir = tmp_dir("badindex");
         let path = dir.join("s.tts");
@@ -360,8 +346,8 @@ mod tests {
         std::fs::write(&path, &dup).unwrap();
         let fix = fsck_path(&path, true).unwrap();
         assert_eq!(fix[0].repaired, Some("rewritten"));
-        let repaired = crate::TripStore::load(&path).unwrap();
-        assert_eq!(repaired.len(), 3);
+        let repaired = load(&path, &LoadOptions::strict()).unwrap();
+        assert_eq!(repaired.sessions, sessions);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,18 +2,13 @@
 //!
 //! The paper stores retrieved taxi data "in PostgreSQL 9.1 DBMS having
 //! PostGIS extension" and manipulates it with SQL/PL-pgSQL. The pipeline
-//! only uses a narrow slice of that machinery — keyed access by taxi and
-//! trip, time-range scans, spatial point queries — so this crate provides an
-//! embedded store with exactly those capabilities:
+//! reads that data back in two ways only — every session in upload order,
+//! and one session by trip id — so this crate provides exactly those:
 //!
-//! * [`TripStore`] — in-memory storage of raw trips with secondary indexes
-//!   by taxi, trip id, session start time, and a spatial grid index over
-//!   route points;
-//! * [`Query`] — a small composable filter (taxi + time window + bbox);
-//! * [`codec`] — a versioned binary file format (checksummed v3 container
-//!   with an offset index for seek/zero-copy reads; pre-index v2
-//!   read-only) so a simulated year can be generated once and re-analysed
-//!   many times, with torn-write salvage instead of abort;
+//! * [`TripStore`] — the sessions in insertion order plus a trip-id map;
+//! * [`codec`] — the checksummed v3 container with an offset index for
+//!   seek/zero-copy reads, so a simulated year can be generated once and
+//!   re-analysed many times, with torn-write salvage instead of abort;
 //! * [`checkpoint`] — a named-section container with a config fingerprint
 //!   and atomic rename publication, backing stage checkpoint/resume;
 //! * [`integrity`] — the dependency-free CRC-32 and the temp-file+fsync+
@@ -27,11 +22,9 @@ pub mod checkpoint;
 pub mod codec;
 pub mod fsck;
 pub mod integrity;
-mod query;
 mod store;
 
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointFile, CHECKPOINT_MAGIC_V2};
 pub use codec::{DamageKind, LoadOptions, LoadOutcome, RecordDamage, Salvage, SalvageReport};
 pub use fsck::{fsck_path, FileKind, FsckReport};
-pub use query::{Query, QueryError};
-pub use store::{StoreError, StoreStats, TripStore};
+pub use store::{StoreError, TripStore};

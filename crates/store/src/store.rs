@@ -1,13 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 
-use taxitrace_geo::{BBox, CellId, Grid, Point};
-use taxitrace_traces::{RawTrip, RoutePoint, TaxiId, TripId};
-use taxitrace_timebase::Timestamp;
-
-use crate::codec::{self, LoadOptions};
-use crate::{Query, QueryError};
+use taxitrace_traces::{RawTrip, TripId};
 
 /// Store errors.
 #[derive(Debug)]
@@ -38,72 +32,29 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// Aggregate statistics of the store contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
-    pub sessions: usize,
-    pub points: usize,
-    pub taxis: usize,
-}
-
-/// In-memory trip database with secondary indexes.
+/// In-memory trip database: the sessions in insertion order plus a
+/// trip-id lookup, the only access paths the pipeline and the server use.
 ///
 /// Sessions are immutable once inserted (the device uploads whole engine-on
-/// sessions), which keeps the indexes append-only.
-#[derive(Debug)]
+/// sessions), which keeps the id map append-only.
+#[derive(Debug, Default)]
 pub struct TripStore {
     sessions: Vec<RawTrip>,
-    by_taxi: HashMap<TaxiId, Vec<usize>>,
     by_id: HashMap<TripId, usize>,
-    /// `(session start, index)`, kept sorted for range scans.
-    time_index: Vec<(Timestamp, usize)>,
-    /// Spatial bucket index: cell → (session index, point index).
-    grid: Grid,
-    spatial: HashMap<CellId, Vec<(u32, u32)>>,
-}
-
-impl Default for TripStore {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TripStore {
-    /// Empty store with the default 200 m spatial bucket size.
+    /// Empty store.
     pub fn new() -> Self {
-        Self::with_grid(Grid::paper_default())
+        Self::default()
     }
 
-    /// Empty store with a custom spatial bucket grid.
-    pub fn with_grid(grid: Grid) -> Self {
-        Self {
-            sessions: Vec::new(),
-            by_taxi: HashMap::new(),
-            by_id: HashMap::new(),
-            time_index: Vec::new(),
-            grid,
-            spatial: HashMap::new(),
-        }
-    }
-
-    /// Inserts one session; all indexes are updated.
+    /// Inserts one session, refusing a trip id that is already stored.
     pub fn insert(&mut self, session: RawTrip) -> Result<(), StoreError> {
         if self.by_id.contains_key(&session.id) {
             return Err(StoreError::DuplicateTrip(session.id));
         }
-        let idx = self.sessions.len();
-        self.by_id.insert(session.id, idx);
-        self.by_taxi.entry(session.taxi).or_default().push(idx);
-        let pos = self
-            .time_index
-            .partition_point(|&(t, _)| t <= session.start_time);
-        self.time_index.insert(pos, (session.start_time, idx));
-        for (pi, p) in session.points.iter().enumerate() {
-            self.spatial
-                .entry(self.grid.cell_of(p.pos))
-                .or_default()
-                .push((idx as u32, pi as u32));
-        }
+        self.by_id.insert(session.id, self.sessions.len());
         self.sessions.push(session);
         Ok(())
     }
@@ -129,15 +80,6 @@ impl TripStore {
         self.sessions.is_empty()
     }
 
-    /// Store statistics.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            sessions: self.sessions.len(),
-            points: self.sessions.iter().map(|s| s.points.len()).sum(),
-            taxis: self.by_taxi.len(),
-        }
-    }
-
     /// Session by trip id.
     pub fn get(&self, id: TripId) -> Option<&RawTrip> {
         self.by_id.get(&id).map(|&i| &self.sessions[i])
@@ -147,128 +89,22 @@ impl TripStore {
     pub fn sessions(&self) -> &[RawTrip] {
         &self.sessions
     }
-
-    /// Sessions of one taxi, in insertion order.
-    pub fn of_taxi(&self, taxi: TaxiId) -> impl Iterator<Item = &RawTrip> + '_ {
-        self.by_taxi
-            .get(&taxi)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.sessions[i])
-    }
-
-    /// Taxis present, sorted.
-    pub fn taxis(&self) -> Vec<TaxiId> {
-        // lint:allow(determinism): hash order is erased by the sort below
-        let mut t: Vec<TaxiId> = self.by_taxi.keys().copied().collect();
-        t.sort_unstable();
-        t
-    }
-
-    /// Sessions whose start time lies in `[from, to)`, in start order.
-    pub fn in_time_range(
-        &self,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> impl Iterator<Item = &RawTrip> + '_ {
-        let lo = self.time_index.partition_point(|&(t, _)| t < from);
-        let hi = self.time_index.partition_point(|&(t, _)| t < to);
-        self.time_index[lo..hi].iter().map(move |&(_, i)| &self.sessions[i])
-    }
-
-    /// Route points whose position lies inside `bbox`
-    /// (via the spatial bucket index).
-    pub fn points_in_bbox(&self, bbox: &BBox) -> Vec<&RoutePoint> {
-        let mut out = Vec::new();
-        for cell in self.grid.cells_in_bbox(bbox) {
-            if let Some(entries) = self.spatial.get(&cell) {
-                for &(si, pi) in entries {
-                    let p = &self.sessions[si as usize].points[pi as usize];
-                    if bbox.contains(p.pos) {
-                        out.push(p);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Route points within `radius` metres of `center`.
-    pub fn points_near(&self, center: Point, radius: f64) -> Vec<&RoutePoint> {
-        let bbox = BBox::from_point(center).expand(radius);
-        let r2 = radius * radius;
-        self.points_in_bbox(&bbox)
-            .into_iter()
-            .filter(|p| p.pos.distance_sq(center) <= r2)
-            .collect()
-    }
-
-    /// Runs a composed [`Query`], yielding matching sessions lazily in
-    /// insertion order — no per-call `Vec` allocation. Contradictory
-    /// filters (inverted ranges) are a typed [`QueryError`] instead of a
-    /// silently empty result.
-    pub fn query(&self, q: &Query) -> Result<impl Iterator<Item = &RawTrip> + '_, QueryError> {
-        q.validate()?;
-        let q = q.clone();
-        Ok(self.sessions.iter().filter(move |s| q.matches(s)))
-    }
-
-    /// Persists the store to a file (versioned binary format).
-    pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        codec::save_sessions(path, &self.sessions)
-    }
-
-    /// Loads a store from a file written by [`Self::save`].
-    pub fn load(path: &Path) -> Result<Self, StoreError> {
-        Ok(Self::load_stats(path)?.0)
-    }
-
-    /// [`Self::load`] plus provenance: the flag is `true` when the v3
-    /// offset index served the read (seek + zero-copy payloads) without a
-    /// sequential scan.
-    pub fn load_stats(path: &Path) -> Result<(Self, bool), StoreError> {
-        let out = codec::load(path, &LoadOptions::strict())?;
-        let mut store = Self::new();
-        store.insert_all(out.sessions)?;
-        Ok((store, out.indexed))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taxitrace_geo::GeoPoint;
-    use taxitrace_timebase::Duration;
-    use taxitrace_traces::PointTruth;
+    use taxitrace_timebase::{Duration, Timestamp};
+    use taxitrace_traces::TaxiId;
 
-    fn point(trip: u64, taxi: u16, t: i64, x: f64, y: f64) -> RoutePoint {
-        RoutePoint {
-            point_id: t as u64,
-            trip_id: TripId(trip),
-            taxi: TaxiId(taxi),
-            geo: GeoPoint::new(25.0, 65.0),
-            pos: Point::new(x, y),
-            timestamp: Timestamp::from_secs(t),
-            speed_kmh: 30.0,
-            heading_deg: 0.0,
-            fuel_ml: 1.0,
-            truth: PointTruth { seq: t as u32, element: None },
-        }
-    }
-
-    fn session(trip: u64, taxi: u16, t0: i64, xs: &[f64]) -> RawTrip {
-        let points: Vec<RoutePoint> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| point(trip, taxi, t0 + i as i64 * 10, x, 0.0))
-            .collect();
+    fn session(trip: u64, taxi: u16) -> RawTrip {
         RawTrip {
             id: TripId(trip),
             taxi: TaxiId(taxi),
-            start_time: Timestamp::from_secs(t0),
-            end_time: Timestamp::from_secs(t0 + xs.len() as i64 * 10),
-            points,
-            total_time: Duration::from_secs(xs.len() as i64 * 10),
+            start_time: Timestamp::from_secs(0),
+            end_time: Timestamp::from_secs(10),
+            points: Vec::new(),
+            total_time: Duration::from_secs(10),
             total_distance_m: 100.0,
             total_fuel_ml: 50.0,
             truth_trips: Vec::new(),
@@ -277,9 +113,7 @@ mod tests {
 
     fn filled() -> TripStore {
         let mut s = TripStore::new();
-        s.insert(session(1, 1, 0, &[0.0, 100.0, 300.0])).unwrap();
-        s.insert(session(2, 1, 1000, &[500.0, 700.0])).unwrap();
-        s.insert(session(3, 2, 500, &[100.0])).unwrap();
+        s.insert_all([session(1, 1), session(2, 1), session(3, 2)]).unwrap();
         s
     }
 
@@ -289,88 +123,17 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.get(TripId(2)).unwrap().taxi, TaxiId(1));
         assert!(s.get(TripId(9)).is_none());
-        assert_eq!(s.stats(), StoreStats { sessions: 3, points: 6, taxis: 2 });
+        let ids: Vec<u64> = s.sessions().iter().map(|t| t.id.0).collect();
+        assert_eq!(ids, [1, 2, 3], "insertion order");
     }
 
     #[test]
     fn duplicate_rejected() {
         let mut s = filled();
         assert!(matches!(
-            s.insert(session(1, 1, 0, &[0.0])),
+            s.insert(session(1, 1)),
             Err(StoreError::DuplicateTrip(TripId(1)))
         ));
-    }
-
-    #[test]
-    fn taxi_index() {
-        let s = filled();
-        assert_eq!(s.of_taxi(TaxiId(1)).count(), 2);
-        assert_eq!(s.of_taxi(TaxiId(2)).count(), 1);
-        assert_eq!(s.of_taxi(TaxiId(5)).count(), 0);
-        assert_eq!(s.taxis(), vec![TaxiId(1), TaxiId(2)]);
-    }
-
-    #[test]
-    fn time_range_scan() {
-        let s = filled();
-        let hits: Vec<u64> = s
-            .in_time_range(Timestamp::from_secs(100), Timestamp::from_secs(1001))
-            .map(|t| t.id.0)
-            .collect();
-        assert_eq!(hits, vec![3, 2]);
-    }
-
-    #[test]
-    fn spatial_queries() {
-        let s = filled();
-        let bbox = BBox::from_corners(Point::new(-10.0, -10.0), Point::new(150.0, 10.0));
-        let mut xs: Vec<f64> = s.points_in_bbox(&bbox).iter().map(|p| p.pos.x).collect();
-        xs.sort_by(f64::total_cmp);
-        assert_eq!(xs, vec![0.0, 100.0, 100.0]);
-
-        let near = s.points_near(Point::new(690.0, 0.0), 15.0);
-        assert_eq!(near.len(), 1);
-        assert_eq!(near[0].pos.x, 700.0);
-    }
-
-    #[test]
-    fn composed_query_is_lazy_and_validated() {
-        let s = filled();
-        let q = Query::new().taxi(TaxiId(1));
-        let hits: Vec<u64> = s.query(&q).unwrap().map(|t| t.id.0).collect();
-        assert_eq!(hits, vec![1, 2]);
-        let inverted = Query::new()
-            .started_after(Timestamp::from_secs(100))
-            .started_before(Timestamp::from_secs(0));
-        assert!(matches!(
-            s.query(&inverted),
-            Err(QueryError::EmptyRange { field: "time", .. })
-        ));
-    }
-
-    #[test]
-    fn persistence_round_trip() {
-        let s = filled();
-        let dir = std::env::temp_dir().join("taxitrace_store_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.tts");
-        s.save(&path).unwrap();
-        let loaded = TripStore::load(&path).unwrap();
-        assert_eq!(loaded.stats(), s.stats());
-        assert_eq!(
-            loaded.get(TripId(1)).unwrap().points,
-            s.get(TripId(1)).unwrap().points
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("taxitrace_store_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.tts");
-        std::fs::write(&path, b"not a store file at all").unwrap();
-        assert!(matches!(TripStore::load(&path), Err(StoreError::BadFormat(_))));
-        std::fs::remove_file(&path).ok();
+        assert_eq!(s.len(), 3);
     }
 }

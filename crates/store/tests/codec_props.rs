@@ -4,8 +4,9 @@
 //! extreme-but-finite coordinates, hostile strings — survives
 //! encode → decode bit-identically through the v3 container, writing the
 //! same population twice produces the same bytes, and the v3 offset-index
-//! seek reader returns exactly what the sequential scan returns. Sessions carrying non-finite floats are rejected at
-//! encode time with a typed error instead of poisoning a file.
+//! fast path returns exactly what the sequential scan returns. Sessions
+//! carrying non-finite floats are rejected at encode time with a typed
+//! error instead of poisoning a file.
 //!
 //! The vendored proptest shim has no `Arbitrary` derive, so each case
 //! draws one seed and expands it through a deterministic generator that
@@ -24,10 +25,7 @@ use proptest::prelude::*;
 use taxitrace_geo::{GeoPoint, Point};
 use taxitrace_roadnet::{ElementId, NodeId};
 use bytes::Bytes;
-use taxitrace_store::codec::{
-    load, load_bytes, read_session_indexed, record_spans, salvage_bytes, save_sessions_tagged,
-    save_sessions_v2_tagged,
-};
+use taxitrace_store::codec::{load, load_bytes, record_spans, salvage_bytes, save_sessions_tagged};
 use taxitrace_store::{DamageKind, LoadOptions, StoreError};
 use taxitrace_timebase::{Duration, Timestamp};
 use taxitrace_traces::{CustomerTripTruth, PointTruth, RawTrip, RoutePoint, TaxiId, TripId};
@@ -181,13 +179,7 @@ proptest! {
         prop_assert!(indexed.indexed, "a v3 file must take the fast path");
         prop_assert_eq!(indexed.report.fingerprint, fp);
         prop_assert_eq!(&indexed.sessions, &salvage.sessions);
-
-        // Every single-record seek agrees with the scan, in any order.
-        for i in (0..sessions.len()).rev() {
-            let one = read_session_indexed(&raw, i).expect("seek").expect("in range");
-            prop_assert_eq!(&one, &sessions[i]);
-        }
-        prop_assert!(read_session_indexed(&raw, sessions.len()).expect("seek").is_none());
+        prop_assert_eq!(&indexed.sessions, &sessions);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -259,12 +251,10 @@ fn fixture_sessions() -> Vec<RawTrip> {
 }
 
 /// Builds the clean container plus its two damaged variants. Pure function
-/// of [`fixture_sessions`], so blessing is reproducible. Deliberately uses
-/// the pre-index v2 writer: the committed fixtures pin that salvage of
-/// old-format files keeps working after the v3 index was introduced.
+/// of [`fixture_sessions`], so blessing is reproducible.
 fn fixture_bytes() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let path = scratch_file("fixture-base");
-    save_sessions_v2_tagged(&path, &fixture_sessions(), 0xF1C5).expect("save fixture");
+    save_sessions_tagged(&path, &fixture_sessions(), 0xF1C5).expect("save fixture");
     let clean = std::fs::read(&path).expect("read fixture");
     let _ = std::fs::remove_file(&path);
 
@@ -281,8 +271,8 @@ fn fixture_bytes() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
 #[test]
 fn damage_fixtures_salvage_exactly() {
     let dir = fixture_dir();
-    let torn_path = dir.join("torn_tail_v2.tts");
-    let flip_path = dir.join("bit_flip_v2.tts");
+    let torn_path = dir.join("torn_tail_v3.tts");
+    let flip_path = dir.join("bit_flip_v3.tts");
     if std::env::var_os("BLESS_FIXTURES").is_some() {
         let (_, torn, flipped) = fixture_bytes();
         std::fs::create_dir_all(&dir).expect("fixture dir");

@@ -27,22 +27,14 @@ use crate::metrics::{StreamMetrics, PERSISTED_COUNTERS};
 /// File name inside the checkpoint directory.
 pub const STREAM_CHECKPOINT_FILE: &str = "stream.ttck";
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Checkpoint key: study config fingerprint mixed with the stream
 /// config, so either changing invalidates the cursor.
 pub fn stream_fingerprint(
     config: &taxitrace_core::StudyConfig,
     stream: &crate::StreamConfig,
 ) -> u64 {
-    taxitrace_core::config_fingerprint(config) ^ fnv1a(format!("{stream:?}").as_bytes())
+    let stream = taxitrace_core::fnv1a(format!("{stream:?}").as_bytes());
+    taxitrace_core::config_fingerprint(config) ^ stream
 }
 
 /// Writes the stream checkpoint atomically: `cursor` records consumed,

@@ -7,8 +7,9 @@ cd "$(dirname "$0")/.."
 cargo build --release -p taxitrace-bench
 cargo test -q --workspace
 
-# The whole workspace must be clippy-clean.
-cargo clippy -q --workspace -- -D warnings
+# The whole workspace must be clippy-clean, tests, benches and examples
+# included.
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 # Build what the test run does not: the criterion benches, and the
 # repository benchmark (its own workspace, built against these crates by

