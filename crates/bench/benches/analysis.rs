@@ -30,8 +30,8 @@ fn analysis_benches(c: &mut Criterion) {
 
     group.bench_function("od_funnel", |b| {
         let analyzer = OdAnalyzer::from_city(&output.city);
-        let transitions = analyzer.transitions(&output.segments);
-        b.iter(|| analyzer.funnel(&output.segments, &transitions))
+        let (transitions, crossed) = analyzer.scan(&output.segments);
+        b.iter(|| analyzer.funnel(&output.segments, &crossed, &transitions))
     });
 
     group.finish();

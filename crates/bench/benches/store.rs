@@ -2,7 +2,6 @@
 //! container codec A/B — sequential salvage scan versus offset-index seek
 //! reads over the same image.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use taxitrace_bench::{bench_city, bench_fleet};
 use taxitrace_store::codec::{load_bytes, salvage_bytes, save_sessions_tagged};
@@ -30,13 +29,13 @@ fn store_benches(c: &mut Criterion) {
     group.finish();
 
     // Container codec A/B: the same image loaded by the sequential CRC
-    // scan (the salvage path) and by the offset index (seek + zero-copy
+    // scan (the salvage path) and by the offset index (seek + in-place
     // payload decode, the path every clean load takes).
     let dir = std::env::temp_dir().join(format!("taxitrace-bench-codec-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench dir");
     let path = dir.join("fleet.ttrs");
     save_sessions_tagged(&path, &sessions, 7).expect("write store");
-    let raw = Bytes::from(std::fs::read(&path).expect("read store"));
+    let raw = std::fs::read(&path).expect("read store");
 
     let mut codec = c.benchmark_group("codec_ab");
     codec.throughput(criterion::Throughput::Bytes(raw.len() as u64));

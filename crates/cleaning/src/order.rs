@@ -34,6 +34,9 @@ pub struct OrderRepairReport {
 /// be non-decreasing (the "monotonic increase" alignment: a glitched clock
 /// reading is pulled up to its predecessor).
 pub fn repair_order(points: &[RoutePoint]) -> (Vec<RoutePoint>, OrderRepairReport) {
+    if let Some(report) = in_order_report(points) {
+        return (points.to_vec(), report);
+    }
     let mut by_id: Vec<RoutePoint> = points.to_vec();
     by_id.sort_by_key(|p| p.point_id);
     let mut by_ts: Vec<RoutePoint> = points.to_vec();
@@ -73,6 +76,30 @@ pub fn repair_order(points: &[RoutePoint]) -> (Vec<RoutePoint>, OrderRepairRepor
             orders_differed,
         },
     )
+}
+
+/// The repair report of a session that is already in order (see
+/// [`in_order`]), or `None`. Both stable sorts would be the identity, so
+/// both candidate orders are the input itself: the timestamp order wins
+/// the length tie and no timestamp needs clamping.
+pub(crate) fn in_order_report(points: &[RoutePoint]) -> Option<OrderRepairReport> {
+    in_order(points).then(|| {
+        let len = path_length(points);
+        OrderRepairReport {
+            chosen: ChosenOrder::ByTimestamp,
+            id_order_length_m: len,
+            ts_order_length_m: len,
+            orders_differed: false,
+        }
+    })
+}
+
+/// Whether `point_id` and `(timestamp, point_id)` are both non-decreasing.
+fn in_order(points: &[RoutePoint]) -> bool {
+    points.windows(2).all(|w| {
+        w[0].point_id <= w[1].point_id
+            && (w[0].timestamp, w[0].point_id) <= (w[1].timestamp, w[1].point_id)
+    })
 }
 
 /// Total polyline length of a point sequence, metres (planar frame).
@@ -149,6 +176,21 @@ mod tests {
         }
         let xs: Vec<f64> = out.iter().map(|p| p.pos.x).collect();
         assert_eq!(xs, vec![0.0, 100.0, 200.0, 300.0]);
+    }
+
+    #[test]
+    fn in_order_input_reports_like_the_sorting_path() {
+        // Equal timestamps and equal ids both count as in order.
+        let pts = vec![pt(0, 0, 0.0), pt(1, 0, 30.0), pt(1, 10, 100.0), pt(2, 20, 250.0)];
+        let report = in_order_report(&pts).expect("in order");
+        assert_eq!(report.chosen, ChosenOrder::ByTimestamp);
+        assert!(!report.orders_differed);
+        assert_eq!(report.id_order_length_m, 250.0);
+        assert_eq!(report.ts_order_length_m, 250.0);
+        assert_eq!(repair_order(&pts), (pts.clone(), report));
+        // An id step back or a timestamp step back is out of order.
+        assert!(in_order_report(&[pt(1, 0, 0.0), pt(0, 10, 1.0)]).is_none());
+        assert!(in_order_report(&[pt(0, 10, 0.0), pt(1, 0, 1.0)]).is_none());
     }
 
     #[test]

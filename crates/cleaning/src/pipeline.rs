@@ -1,9 +1,11 @@
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use taxitrace_traces::{RawTrip, RoutePoint, TaxiId, TraceColumns, TripId};
 use taxitrace_timebase::Timestamp;
 
 use crate::filters::{segment_length_m, FilterConfig, FilterStats};
-use crate::order::{repair_order, OrderRepairReport};
+use crate::order::{in_order_report, repair_order, OrderRepairReport};
 use crate::segmentation::{
     resplit_columns, segment_columns, SegmentationConfig, SegmentationReport,
 };
@@ -75,8 +77,19 @@ pub struct CleanedSession {
 /// Runs the full §IV-B/C cleaning pipeline on one raw session:
 /// order repair → Table 2 segmentation → rule 5 re-split → filters.
 pub fn clean_session(session: &RawTrip, config: &CleaningConfig) -> CleanedSession {
-    let (mut ordered, order_report) = repair_order(&session.points);
-    let duplicates_removed = dedup_points(&mut ordered);
+    // A session already in order with no re-upload is cleaned straight
+    // from its own points; repair and dedup would return them unchanged.
+    let points = &session.points[..];
+    let (ordered, order_report, duplicates_removed) = match in_order_report(points) {
+        Some(report) if !points.windows(2).any(|w| is_reupload(&w[0], &w[1])) => {
+            (Cow::Borrowed(points), report, 0)
+        }
+        _ => {
+            let (mut ordered, report) = repair_order(points);
+            let removed = dedup_points(&mut ordered);
+            (Cow::Owned(ordered), report, removed)
+        }
+    };
     // One struct-of-arrays gather per session; segmentation, rule 5 and the
     // filters all stream over these columns instead of the point structs.
     let cols = TraceColumns::from_points(&ordered);
@@ -127,12 +140,18 @@ pub fn clean_session(session: &RawTrip, config: &CleaningConfig) -> CleanedSessi
 /// timestamp and position (the device re-sent a measurement). Returns the
 /// number removed. Part of "filtering the most obvious errors from the
 /// data set".
-fn dedup_points(points: &mut Vec<taxitrace_traces::RoutePoint>) -> usize {
+fn dedup_points(points: &mut Vec<RoutePoint>) -> usize {
     let before = points.len();
-    points.dedup_by(|b, a| {
-        b.timestamp == a.timestamp && b.pos.distance(a.pos) < 1e-9 && b.speed_kmh == a.speed_kmh
-    });
+    points.dedup_by(|b, a| is_reupload(a, b));
     before - points.len()
+}
+
+/// Whether `next` re-sends `prev`'s measurement: same timestamp, position
+/// and speed.
+fn is_reupload(prev: &RoutePoint, next: &RoutePoint) -> bool {
+    next.timestamp == prev.timestamp
+        && next.pos.distance(prev.pos) < 1e-9
+        && next.speed_kmh == prev.speed_kmh
 }
 
 /// Ground-truth validation of recovered segments against the simulator's

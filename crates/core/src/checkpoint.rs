@@ -18,7 +18,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use taxitrace_store::codec::{decode_session, encode_session, put_str, take_str, take_u64};
 use taxitrace_store::{load_checkpoint, save_checkpoint, CheckpointFile, StoreError};
 use taxitrace_traces::RawTrip;
@@ -119,8 +119,8 @@ fn fail_first_write(dir: &Path) -> Result<(), Error> {
     ))))
 }
 
-fn section(ck: &CheckpointFile, name: &str) -> Result<Bytes, Error> {
-    ck.section(name).cloned().ok_or_else(|| {
+fn section<'a>(ck: &'a CheckpointFile, name: &str) -> Result<&'a [u8], Error> {
+    ck.section(name).ok_or_else(|| {
         Error::Store(StoreError::BadFormat(format!(
             "{CHECKPOINTED_STAGE} checkpoint is missing its {name:?} section"
         )))
@@ -155,7 +155,7 @@ fn encode_sessions(sessions: &[RawTrip]) -> Result<Vec<u8>, StoreError> {
     Ok(buf.as_ref().to_vec())
 }
 
-fn decode_sessions(b: &mut Bytes) -> Result<Vec<RawTrip>, StoreError> {
+fn decode_sessions(b: &mut &[u8]) -> Result<Vec<RawTrip>, StoreError> {
     let n = take_u64(b)? as usize;
     let mut sessions = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -180,7 +180,7 @@ fn encode_chaos_counters(
     Ok(buf.as_ref().to_vec())
 }
 
-fn decode_chaos_counters(b: &mut Bytes) -> Result<Vec<(String, u64)>, StoreError> {
+fn decode_chaos_counters(b: &mut &[u8]) -> Result<Vec<(String, u64)>, StoreError> {
     let n = take_u64(b)? as usize;
     let mut counters = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
@@ -208,5 +208,67 @@ mod tests {
         let mut tighter = StudyConfig::quick(7);
         tighter.fault.error_budget = 0.01;
         assert_ne!(a, config_fingerprint(&tighter));
+    }
+
+    fn two_sessions() -> Vec<RawTrip> {
+        use taxitrace_geo::{GeoPoint, Point};
+        use taxitrace_roadnet::{ElementId, NodeId};
+        use taxitrace_timebase::{Duration, Timestamp};
+        use taxitrace_traces::{CustomerTripTruth, PointTruth, RoutePoint, TaxiId, TripId};
+        (0..2u64)
+            .map(|i| {
+                let point = |seq: u32| RoutePoint {
+                    point_id: u64::from(seq),
+                    trip_id: TripId(i),
+                    taxi: TaxiId(2),
+                    geo: GeoPoint::new(25.4, 65.0),
+                    pos: Point::new(f64::from(seq), 1.0),
+                    timestamp: Timestamp::from_secs(100 + i64::from(seq)),
+                    speed_kmh: 30.0,
+                    heading_deg: 45.0,
+                    fuel_ml: 1.5,
+                    truth: PointTruth { seq, element: (seq == 0).then_some(ElementId(9)) },
+                };
+                RawTrip {
+                    id: TripId(i),
+                    taxi: TaxiId(2),
+                    start_time: Timestamp::from_secs(100),
+                    end_time: Timestamp::from_secs(101),
+                    points: vec![point(0), point(1)],
+                    total_time: Duration::from_secs(1),
+                    total_distance_m: 1.0,
+                    total_fuel_ml: 1.5,
+                    truth_trips: vec![CustomerTripTruth {
+                        start_seq: 0,
+                        end_seq: 1,
+                        origin: NodeId(1),
+                        destination: NodeId(2),
+                        elements: vec![ElementId(9)],
+                        od_pair: Some(("T".into(), "S".into())),
+                    }],
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_truncated_section_prefix_is_an_error() {
+        let sessions = two_sessions();
+        let encoded = encode_sessions(&sessions).unwrap();
+        assert_eq!(decode_sessions(&mut &encoded[..]).unwrap(), sessions);
+        for cut in 0..encoded.len() {
+            assert!(decode_sessions(&mut &encoded[..cut]).is_err(), "sessions cut at {cut}");
+        }
+
+        let registry = taxitrace_obs::Registry::new();
+        registry.counter("chaos.teleport").add(3);
+        registry.counter("sim.steps").add(5);
+        let encoded = encode_chaos_counters(&registry.snapshot()).unwrap();
+        let decoded = decode_chaos_counters(&mut &encoded[..]).unwrap();
+        assert_eq!(decoded, [("chaos.teleport".to_string(), 3)]);
+        for cut in 0..encoded.len() {
+            let result = decode_chaos_counters(&mut &encoded[..cut]);
+            assert!(result.is_err(), "chaos counters cut at {cut}");
+        }
     }
 }

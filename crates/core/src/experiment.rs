@@ -612,13 +612,13 @@ impl Cleaned {
         let mut span = obs.registry.span("study/od");
         let (error_budget, _) = resolved_fault_policy(&config);
         let analyzer = OdAnalyzer::from_city(&city);
-        let extracted = {
+        let (extracted, roads_crossed) = {
             let _s = obs.registry.span("study/od/transitions");
-            analyzer.transitions(&segments)
+            analyzer.scan(&segments)
         };
         let funnel_rows = {
             let _s = obs.registry.span("study/od/funnel");
-            analyzer.funnel(&segments, &extracted)
+            analyzer.funnel(&segments, &roads_crossed, &extracted)
         };
         let total = extracted.len();
         let before = quarantine.len();

@@ -135,18 +135,33 @@ impl OdAnalyzer {
     /// Analyzes segments and returns every extracted transition with its
     /// funnel-survival flags. Only segments producing a transition appear.
     pub fn transitions(&self, segments: &[TripSegment]) -> Vec<Transition> {
+        self.scan(segments).0
+    }
+
+    /// One corridor scan of every segment: the extracted transitions (as
+    /// [`Self::transitions`]) and, per segment, the number of distinct
+    /// thick roads it crosses at a valid angle (as [`Self::roads_crossed`]),
+    /// which [`Self::funnel`] takes.
+    pub fn scan(&self, segments: &[TripSegment]) -> (Vec<Transition>, Vec<usize>) {
         let mut out = Vec::new();
+        let mut roads_crossed = Vec::with_capacity(segments.len());
         for (si, seg) in segments.iter().enumerate() {
             let positions: Vec<Point> = seg.points.iter().map(|p| p.pos).collect();
             // Valid (angle-filtered) crossings per endpoint.
             let mut crossings: Vec<(usize, usize)> = Vec::new(); // (endpoint, point idx)
+            let mut roads = 0;
             for (ei, ep) in self.endpoints.iter().enumerate() {
+                let before = crossings.len();
                 for c in ep.corridor.crossings(&positions) {
                     if c.angle_deg <= self.config.max_angle_deg {
                         crossings.push((ei, c.point_index));
                     }
                 }
+                if crossings.len() > before {
+                    roads += 1;
+                }
             }
+            roads_crossed.push(roads);
             if crossings.is_empty() {
                 continue;
             }
@@ -199,10 +214,11 @@ impl OdAnalyzer {
                 post_filtered,
             });
         }
-        out
+        (out, roads_crossed)
     }
 
-    /// Number of distinct thick roads a segment crosses at a valid angle.
+    /// Number of distinct thick roads a segment crosses at a valid angle
+    /// (one segment's entry of [`Self::scan`]'s counts, scanned alone).
     pub fn roads_crossed(&self, seg: &TripSegment) -> usize {
         let positions: Vec<Point> = seg.points.iter().map(|p| p.pos).collect();
         self.endpoints
@@ -216,26 +232,21 @@ impl OdAnalyzer {
             .count()
     }
 
-    /// Counts how many segments intersect ≥ 2 distinct thick roads at a
-    /// valid angle (the "Filtered and cleaned" column).
-    pub fn filtered_cleaned_count(&self, segments: &[TripSegment]) -> usize {
-        segments.iter().filter(|seg| self.roads_crossed(seg) >= 2).count()
-    }
-
-    /// Reproduces Table 3: one funnel row per taxi. `transitions` is what
-    /// [`Self::transitions`] extracted from the same `segments`.
-    pub fn funnel(&self, segments: &[TripSegment], transitions: &[Transition]) -> Vec<FunnelRow> {
+    /// Reproduces Table 3: one funnel row per taxi. `roads_crossed` and
+    /// `transitions` are what [`Self::scan`] returned for the same
+    /// `segments`.
+    pub fn funnel(
+        &self,
+        segments: &[TripSegment],
+        roads_crossed: &[usize],
+        transitions: &[Transition],
+    ) -> Vec<FunnelRow> {
         let mut rows: BTreeMap<u16, FunnelRow> = BTreeMap::new();
-        for seg in segments {
-            rows.entry(seg.taxi.0)
-                .or_insert_with(|| FunnelRow { taxi: seg.taxi.0, ..Default::default() })
-                .segments_total += 1;
-        }
-        // Crossing counts per taxi.
-        for seg in segments {
-            let crossed = self.roads_crossed(seg);
-            // lint:allow(panic-free-library): row inserted in the loop above
-            let row = rows.get_mut(&seg.taxi.0).expect("row inserted above");
+        for (seg, &crossed) in segments.iter().zip(roads_crossed) {
+            let row = rows
+                .entry(seg.taxi.0)
+                .or_insert_with(|| FunnelRow { taxi: seg.taxi.0, ..Default::default() });
+            row.segments_total += 1;
             if crossed >= 1 {
                 row.any_crossing += 1;
             }
@@ -330,9 +341,12 @@ mod proptests {
                     prop_assert!(t.within_center);
                 }
             }
-            // roads_crossed is consistent with transitions existing.
+            // roads_crossed is consistent with transitions existing, and
+            // the one-pass scan counts exactly what it counts.
             let crossed = a.roads_crossed(&seg);
-            if !a.transitions(std::slice::from_ref(&seg)).is_empty() {
+            let (transitions, counts) = a.scan(std::slice::from_ref(&seg));
+            prop_assert_eq!(counts, vec![crossed]);
+            if !transitions.is_empty() {
                 prop_assert!(crossed >= 2);
             }
         }
@@ -507,7 +521,7 @@ mod tests {
         let a = analyzer();
         let seg = segment(1, &[(9000.0, 9000.0), (9100.0, 9000.0), (9200.0, 9000.0)]);
         assert!(a.transitions(std::slice::from_ref(&seg)).is_empty());
-        assert_eq!(a.filtered_cleaned_count(&[seg]), 0);
+        assert_eq!(a.roads_crossed(&seg), 0);
     }
 
     #[test]
@@ -518,7 +532,8 @@ mod tests {
             segment(1, &[(9000.0, 9000.0), (9100.0, 9000.0), (9200.0, 9100.0), (9300.0, 9100.0), (9400.0, 9200.0)]),
             segment(2, &[(0.0, -2400.0), (0.0, -2100.0), (0.0, -1500.0)]),
         ];
-        let rows = a.funnel(&segs, &a.transitions(&segs));
+        let (transitions, crossed) = a.scan(&segs);
+        let rows = a.funnel(&segs, &crossed, &transitions);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.filtered_cleaned <= r.segments_total);

@@ -26,9 +26,10 @@
 //! "no checkpoint"). Writes are atomic *and fsynced* via
 //! [`crate::integrity::write_atomic`].
 
+use std::ops::Range;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::codec::{put_str, take_str, take_u32, take_u64};
 use crate::integrity::{crc32, write_atomic};
@@ -38,20 +39,23 @@ use crate::StoreError;
 pub const CHECKPOINT_MAGIC_V2: [u8; 8] = *b"TTCK\x00\x00\x00\x02";
 
 /// A loaded checkpoint: the fingerprint it was written under plus its
-/// named payload sections, in file order.
+/// named payload sections, in file order. The file image is held once;
+/// each section is a byte range into it.
 #[derive(Debug, Clone)]
 pub struct CheckpointFile {
     /// Fingerprint of the configuration that produced this checkpoint.
     /// Resume must refuse a checkpoint whose fingerprint does not match
     /// the current configuration.
     pub fingerprint: u64,
-    sections: Vec<(String, Bytes)>,
+    raw: Vec<u8>,
+    sections: Vec<(String, Range<usize>)>,
 }
 
 impl CheckpointFile {
     /// Returns the payload of the named section, if present.
-    pub fn section(&self, name: &str) -> Option<&Bytes> {
-        self.sections.iter().find(|(n, _)| n == name).map(|(_, b)| b)
+    pub fn section(&self, name: &str) -> Option<&[u8]> {
+        let (_, range) = self.sections.iter().find(|(n, _)| n == name)?;
+        Some(&self.raw[range.clone()])
     }
 
     /// Number of sections in the file.
@@ -89,7 +93,11 @@ pub fn save_checkpoint(
 
 /// Reads and validates a v2 checkpoint.
 pub fn load_checkpoint(path: &Path) -> Result<CheckpointFile, StoreError> {
-    let raw = std::fs::read(path)?;
+    parse_checkpoint(std::fs::read(path)?)
+}
+
+/// Validates a v2 checkpoint image and indexes its sections in place.
+fn parse_checkpoint(raw: Vec<u8>) -> Result<CheckpointFile, StoreError> {
     if raw.len() < 8 {
         return Err(StoreError::BadFormat("file too short for magic".into()));
     }
@@ -106,38 +114,39 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointFile, StoreError> {
             "checkpoint header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
         )));
     }
-    let mut b = Bytes::copy_from_slice(&raw);
-    let _magic = b.split_to(8);
+    // Magic and header CRC verified above.
+    let mut b = &raw[8..24];
     let fingerprint = take_u64(&mut b)?;
     let count = take_u64(&mut b)? as usize;
-    let _header_crc = b.split_to(4); // verified above
+    let mut b = &raw[28..];
     let mut sections = Vec::with_capacity(count.min(64));
     for _ in 0..count {
         let name = take_str(&mut b)?;
         let len = take_u64(&mut b)? as usize;
         let stored = take_u32(&mut b)?;
-        if b.remaining() < len {
+        let Some((payload, rest)) = b.split_at_checked(len) else {
             return Err(StoreError::BadFormat(format!(
                 "truncated section {name:?}: wanted {len} bytes, had {}",
-                b.remaining()
+                b.len()
             )));
-        }
-        let payload = b.split_to(len);
-        let actual = crc32(payload.as_ref());
+        };
+        let actual = crc32(payload);
         if stored != actual {
             return Err(StoreError::BadFormat(format!(
                 "section {name:?} CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
             )));
         }
-        sections.push((name, payload));
+        let start = raw.len() - b.len();
+        sections.push((name, start..start + len));
+        b = rest;
     }
-    if b.remaining() != 0 {
+    if !b.is_empty() {
         return Err(StoreError::BadFormat(format!(
             "{} trailing bytes after last section",
-            b.remaining()
+            b.len()
         )));
     }
-    Ok(CheckpointFile { fingerprint, sections })
+    Ok(CheckpointFile { fingerprint, raw, sections })
 }
 
 #[cfg(test)]
@@ -153,8 +162,8 @@ mod tests {
             .unwrap();
         let ck = load_checkpoint(&path).unwrap();
         assert_eq!(ck.fingerprint, 0xDEAD_BEEF);
-        assert_eq!(ck.section("alpha").unwrap().as_ref(), b"abc");
-        assert_eq!(ck.section("beta").unwrap().as_ref().len(), 9);
+        assert_eq!(ck.section("alpha"), Some(&b"abc"[..]));
+        assert_eq!(ck.section("beta"), Some(&[0u8; 9][..]));
         assert!(ck.section("gamma").is_none());
         assert_eq!(ck.section_count(), 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -198,6 +207,23 @@ mod tests {
         long.extend_from_slice(b"zz");
         std::fs::write(&path, &long).unwrap();
         assert!(matches!(load_checkpoint(&path), Err(StoreError::BadFormat(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_truncated_prefix_is_a_typed_error() {
+        let dir = std::env::temp_dir().join("ttck-prefix");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("two.ttck");
+        save_checkpoint(&path, 3, &[("alpha", b"abc"), ("beta", &[7u8; 9])]).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        assert!(parse_checkpoint(full.clone()).is_ok());
+        // Every cut: inside the header, a section name, its length, CRC
+        // or payload, and on the boundary between the two sections.
+        for cut in 0..full.len() {
+            let result = parse_checkpoint(full[..cut].to_vec());
+            assert!(matches!(result, Err(StoreError::BadFormat(_))), "cut at {cut}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

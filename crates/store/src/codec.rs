@@ -25,7 +25,9 @@
 //! record that still verifies instead of aborting (see [`SalvageReport`]).
 //!
 //! The offset index buys *seek reads*: [`load`] jumps straight to each
-//! record and decodes a borrowed (zero-copy) slice of the file image. The
+//! record and decodes it in place. The file is read into one owned
+//! buffer and every reader borrows `&[u8]` slices of it, so the image
+//! is held once, never copied into a second buffer. The
 //! record-count field is covered by the header CRC, so the body start
 //! `28 + count*8 + 4` stays computable even when the index bytes
 //! themselves are damaged — salvage then falls back to a sequential frame
@@ -35,7 +37,7 @@
 
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use taxitrace_geo::{GeoPoint, Point};
 use taxitrace_roadnet::{ElementId, NodeId};
 use taxitrace_timebase::{Duration, Timestamp};
@@ -55,6 +57,10 @@ const HEADER_LEN: usize = 8 + 8 + 8 + 4;
 const INDEX_CRC_LEN: usize = 4;
 /// Per-record frame: payload length + payload CRC.
 const FRAME_LEN: usize = 8 + 4;
+/// Fixed bytes of one encoded route point: id, eight 8-byte scalars,
+/// truth seq and the element tag. A tag of 1 is followed by an 8-byte
+/// element id.
+const POINT_FIXED_LEN: usize = 8 + 8 * 8 + 4 + 1;
 /// Cap on individually reported torn-tail records; a torn tail that loses
 /// more is summarised in the final damage entry so a corrupt header count
 /// cannot balloon the report.
@@ -204,7 +210,7 @@ impl LoadOptions {
 
 /// Result of a [`load`]: the sessions plus full provenance — the
 /// integrity report and whether the offset index served the read
-/// (seek + zero-copy payloads) rather than the sequential scan.
+/// (seek + in-place payload decode) rather than the sequential scan.
 #[derive(Debug, Clone)]
 pub struct LoadOutcome {
     /// Sessions that verified and decoded, in file order.
@@ -226,12 +232,11 @@ pub struct LoadOutcome {
 /// [`DamageKind::HeaderMismatch`] entry in the report. Only I/O errors
 /// reading the file are fatal in salvage mode.
 pub fn load(path: &Path, opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
-    let raw = Bytes::from(std::fs::read(path)?);
-    load_bytes(&raw, opts)
+    load_bytes(&std::fs::read(path)?, opts)
 }
 
-/// [`load`] over an in-memory image (serving snapshots, fsck, tests).
-pub fn load_bytes(raw: &Bytes, opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
+/// [`load`] over an in-memory image (benchmarks, tests).
+pub fn load_bytes(raw: &[u8], opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
     if let Some(Salvage { sessions, report }) = indexed_load_bytes(raw) {
         return Ok(LoadOutcome { sessions, report, indexed: true });
     }
@@ -282,32 +287,31 @@ pub fn record_spans(raw: &[u8]) -> Result<Vec<RecordSpan>, StoreError> {
     Ok(spans)
 }
 
-/// Decodes the framed record at absolute offset `off`, borrowing the
-/// payload from `raw` (zero-copy: the returned session is built from a
-/// refcounted slice, not a fresh buffer). Strict: CRC failure, truncation
-/// or trailing payload bytes yield `None`.
-fn decode_record_at(raw: &Bytes, off: usize) -> Option<(RawTrip, usize)> {
+/// Decodes the framed record at absolute offset `off` straight from a
+/// borrowed slice of `raw`; no payload bytes are copied before decode.
+/// Strict: CRC failure, truncation or trailing payload bytes yield `None`.
+fn decode_record_at(raw: &[u8], off: usize) -> Option<(RawTrip, usize)> {
     if raw.len().saturating_sub(off) < FRAME_LEN {
         return None;
     }
     let len = read_u64_at(raw, off);
     let payload_at = off + FRAME_LEN;
     let end = payload_end(payload_at, len, raw.len())?;
-    let mut payload = raw.slice(payload_at..end);
-    if crc32(&payload) != read_u32_at(raw, off + 8) {
+    let mut payload = &raw[payload_at..end];
+    if crc32(payload) != read_u32_at(raw, off + 8) {
         return None;
     }
     let session = decode_session(&mut payload).ok()?;
-    (payload.remaining() == 0).then_some((session, end))
+    payload.is_empty().then_some((session, end))
 }
 
-/// Zero-copy indexed read of a whole image: seeks each record via the
-/// offset index and decodes payload slices borrowed from `raw` — no
-/// full-file scan, no per-payload copies. It is [`parse_header`] with no
-/// damage reported, offsets that tile the body exactly through to the
-/// end of the file, and every record verifying; anything else is `None`,
-/// so [`load_bytes`] falls back to [`salvage_bytes`] for a typed report.
-fn indexed_load_bytes(raw: &Bytes) -> Option<Salvage> {
+/// Indexed read of a whole image: seeks each record via the offset index
+/// and decodes payload slices borrowed from `raw` — no full-file scan, no
+/// per-payload copies. It is [`parse_header`] with no damage reported,
+/// offsets that tile the body exactly through to the end of the file, and
+/// every record verifying; anything else is `None`, so [`load_bytes`]
+/// falls back to [`salvage_bytes`] for a typed report.
+fn indexed_load_bytes(raw: &[u8]) -> Option<Salvage> {
     let mut report = SalvageReport::default();
     let header = parse_header(raw, &mut report).filter(|_| report.is_clean())?;
     let mut sessions = Vec::with_capacity(header.declared.min(1 << 20) as usize);
@@ -437,13 +441,13 @@ fn salvage_records(raw: &[u8], header: Header, report: &mut SalvageReport) -> Ve
             index += 1;
             continue;
         }
-        let mut bytes = Bytes::copy_from_slice(payload);
-        match decode_session(&mut bytes) {
-            Ok(s) if bytes.remaining() == 0 => sessions.push(s),
+        let mut rest = payload;
+        match decode_session(&mut rest) {
+            Ok(s) if rest.is_empty() => sessions.push(s),
             Ok(_) => report.damage.push(RecordDamage {
                 index,
                 kind: DamageKind::CorruptRecord,
-                detail: format!("{} undecoded payload bytes", bytes.remaining()),
+                detail: format!("{} undecoded payload bytes", rest.len()),
             }),
             Err(e) => report.damage.push(RecordDamage {
                 index,
@@ -622,8 +626,9 @@ pub fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Decodes one session from the store's wire format.
-pub fn decode_session(b: &mut Bytes) -> Result<RawTrip, StoreError> {
+/// Decodes one session from the store's wire format, advancing `b` past
+/// it. Every read is length-checked against what is left of `b`.
+pub fn decode_session(b: &mut &[u8]) -> Result<RawTrip, StoreError> {
     let id = TripId(take_u64(b)?);
     let taxi = TaxiId(take_u8(b)?.into());
     let start_time = Timestamp::from_secs(take_i64(b)?);
@@ -631,7 +636,7 @@ pub fn decode_session(b: &mut Bytes) -> Result<RawTrip, StoreError> {
     let total_time = Duration::from_secs(take_i64(b)?);
     let total_distance_m = take_f64(b)?;
     let total_fuel_ml = take_f64(b)?;
-    let np = take_count(b, 77, "point count")?;
+    let np = take_count(b, POINT_FIXED_LEN, "point count")?;
     let mut points = Vec::with_capacity(np);
     for _ in 0..np {
         points.push(decode_point(b, id, taxi)?);
@@ -657,38 +662,61 @@ pub fn decode_session(b: &mut Bytes) -> Result<RawTrip, StoreError> {
 /// Reads a u32 element count and validates it against the bytes that
 /// remain, given a minimum encoded size per element — a corrupt count can
 /// therefore never drive an allocation past the record it came from.
-fn take_count(b: &mut Bytes, min_elem_size: usize, what: &str) -> Result<usize, StoreError> {
+fn take_count(b: &mut &[u8], min_elem_size: usize, what: &str) -> Result<usize, StoreError> {
     let n = take_u32(b)? as usize;
-    if n.saturating_mul(min_elem_size) > b.remaining() {
+    if n.saturating_mul(min_elem_size) > b.len() {
         return Err(StoreError::BadFormat(format!(
             "{what} {n} exceeds remaining {} bytes",
-            b.remaining()
+            b.len()
         )));
     }
     Ok(n)
 }
 
-/// Decodes one route point; `trip_id`/`taxi` come from the enclosing
-/// record (points do not repeat them on the wire).
-fn decode_point(b: &mut Bytes, trip_id: TripId, taxi: TaxiId) -> Result<RoutePoint, StoreError> {
+/// Decodes one route point: its fixed [`POINT_FIXED_LEN`]-byte block
+/// after a single length check, then the element id its tag announces.
+/// `trip_id`/`taxi` come from the enclosing record (points do not repeat
+/// them on the wire).
+fn decode_point(b: &mut &[u8], trip_id: TripId, taxi: TaxiId) -> Result<RoutePoint, StoreError> {
+    let Some((block, rest)) = b.split_first_chunk::<POINT_FIXED_LEN>() else {
+        let field = truncated_point_field(b.len());
+        return Err(StoreError::BadFormat(format!("truncated {field}")));
+    };
+    *b = rest;
+    let f64_at = |at| f64::from_bits(read_u64_at(block, at));
+    let element = match block[POINT_FIXED_LEN - 1] {
+        0 => None,
+        1 => Some(ElementId(take_u64(b)?)),
+        tag => return Err(StoreError::BadFormat(format!("invalid element tag {tag}"))),
+    };
     Ok(RoutePoint {
-        point_id: take_u64(b)?,
+        point_id: read_u64_at(block, 0),
         trip_id,
         taxi,
-        geo: GeoPoint::new(take_f64(b)?, take_f64(b)?),
-        pos: Point::new(take_f64(b)?, take_f64(b)?),
-        timestamp: Timestamp::from_secs(take_i64(b)?),
-        speed_kmh: take_f64(b)?,
-        heading_deg: take_f64(b)?,
-        fuel_ml: take_f64(b)?,
-        truth: PointTruth {
-            seq: take_u32(b)?,
-            element: if take_u8(b)? == 1 { Some(ElementId(take_u64(b)?)) } else { None },
-        },
+        geo: GeoPoint::new(f64_at(8), f64_at(16)),
+        pos: Point::new(f64_at(24), f64_at(32)),
+        timestamp: Timestamp::from_secs(read_u64_at(block, 40) as i64),
+        speed_kmh: f64_at(48),
+        heading_deg: f64_at(56),
+        fuel_ml: f64_at(64),
+        truth: PointTruth { seq: read_u32_at(block, 72), element },
     })
 }
 
-fn decode_truth(b: &mut Bytes) -> Result<CustomerTripTruth, StoreError> {
+/// Wire type of the route-point field that a block cut after `have`
+/// bytes ends inside, so a short block names the field a field-by-field
+/// read would have stopped at.
+fn truncated_point_field(have: usize) -> &'static str {
+    match have {
+        0..8 => "u64",
+        8..40 | 48..72 => "f64",
+        40..48 => "i64",
+        72..76 => "u32",
+        _ => "u8",
+    }
+}
+
+fn decode_truth(b: &mut &[u8]) -> Result<CustomerTripTruth, StoreError> {
     let start_seq = take_u32(b)?;
     let end_seq = take_u32(b)?;
     let origin = NodeId(take_u32(b)?);
@@ -698,45 +726,44 @@ fn decode_truth(b: &mut Bytes) -> Result<CustomerTripTruth, StoreError> {
     for _ in 0..ne {
         elements.push(ElementId(take_u64(b)?));
     }
-    let od_pair = if take_u8(b)? == 1 {
-        let a = take_str(b)?;
-        let bb = take_str(b)?;
-        Some((a, bb))
-    } else {
-        None
+    let od_pair = match take_u8(b)? {
+        0 => None,
+        1 => Some((take_str(b)?, take_str(b)?)),
+        tag => return Err(StoreError::BadFormat(format!("invalid od_pair tag {tag}"))),
     };
     Ok(CustomerTripTruth { start_seq, end_seq, origin, destination, elements, od_pair })
 }
 
 macro_rules! take_impl {
-    ($name:ident, $ty:ty, $get:ident, $size:expr) => {
-        /// Truncation-checked scalar read (wire primitive).
-        pub fn $name(b: &mut Bytes) -> Result<$ty, StoreError> {
-            if b.remaining() < $size {
+    ($name:ident, $ty:ty) => {
+        /// Truncation-checked little-endian scalar read (wire primitive).
+        pub fn $name(b: &mut &[u8]) -> Result<$ty, StoreError> {
+            let Some((head, rest)) = b.split_first_chunk() else {
                 return Err(StoreError::BadFormat(concat!("truncated ", stringify!($ty)).into()));
-            }
-            Ok(b.$get())
+            };
+            *b = rest;
+            Ok(<$ty>::from_le_bytes(*head))
         }
     };
 }
 
-take_impl!(take_u64, u64, get_u64_le, 8);
-take_impl!(take_i64, i64, get_i64_le, 8);
-take_impl!(take_f64, f64, get_f64_le, 8);
-take_impl!(take_u32, u32, get_u32_le, 4);
-take_impl!(take_u8, u8, get_u8, 1);
+take_impl!(take_u64, u64);
+take_impl!(take_i64, i64);
+take_impl!(take_f64, f64);
+take_impl!(take_u32, u32);
+take_impl!(take_u8, u8);
 
 /// Reads a u16-length-prefixed UTF-8 string (wire primitive).
-pub fn take_str(b: &mut Bytes) -> Result<String, StoreError> {
-    if b.remaining() < 2 {
+pub fn take_str(b: &mut &[u8]) -> Result<String, StoreError> {
+    let Some((len, rest)) = b.split_first_chunk() else {
         return Err(StoreError::BadFormat("truncated string length".into()));
-    }
-    let len = b.get_u16_le() as usize;
-    if b.remaining() < len {
+    };
+    let Some((body, rest)) = rest.split_at_checked(usize::from(u16::from_le_bytes(*len))) else {
         return Err(StoreError::BadFormat("truncated string body".into()));
-    }
-    let raw = b.split_to(len);
-    String::from_utf8(raw.to_vec())
+    };
+    *b = rest;
+    std::str::from_utf8(body)
+        .map(str::to_owned)
         .map_err(|_| StoreError::BadFormat("invalid utf-8 in string".into()))
 }
 
@@ -804,10 +831,10 @@ mod tests {
         let s = sample_session();
         let mut buf = BytesMut::new();
         encode_session(&mut buf, &s).unwrap();
-        let mut bytes = buf.freeze();
-        let back = decode_session(&mut bytes).unwrap();
+        let mut rest = &buf[..];
+        let back = decode_session(&mut rest).unwrap();
         assert_eq!(back, s);
-        assert_eq!(bytes.remaining(), 0, "no trailing bytes");
+        assert!(rest.is_empty(), "no trailing bytes");
     }
 
     #[test]
@@ -815,13 +842,68 @@ mod tests {
         let s = sample_session();
         let mut buf = BytesMut::new();
         encode_session(&mut buf, &s).unwrap();
-        for cut in [1usize, 8, 20, buf.len() / 2, buf.len() - 1] {
-            let mut bytes = Bytes::copy_from_slice(&buf[..cut]);
-            assert!(
-                decode_session(&mut bytes).is_err(),
-                "cut at {cut} should fail"
-            );
+        // Every prefix: each boundary inside a point's fixed block, its
+        // optional element id and the truth trips.
+        for cut in 1..buf.len() {
+            let result = decode_session(&mut &buf[..cut]);
+            assert!(matches!(result, Err(StoreError::BadFormat(_))), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn truncated_point_names_the_cut_field() {
+        // A single point's wire layout, field by field (types and widths).
+        let fields =
+            [("u64", 8), ("f64", 8), ("f64", 8), ("f64", 8), ("f64", 8), ("i64", 8)]
+                .into_iter()
+                .chain([("f64", 8), ("f64", 8), ("f64", 8), ("u32", 4), ("u8", 1)]);
+        let mut at = 0;
+        for (ty, width) in fields {
+            for have in at..at + width {
+                assert_eq!(truncated_point_field(have), ty, "cut after {have} bytes");
+            }
+            at += width;
+        }
+        assert_eq!(at, POINT_FIXED_LEN);
+    }
+
+    #[test]
+    fn unknown_wire_tags_are_rejected() {
+        let mut buf = BytesMut::new();
+        encode_session(&mut buf, &sample_session()).unwrap();
+        // The first point's element tag is the last byte of its fixed
+        // block, after the session header (49 bytes) and the point count.
+        let point_tag = 49 + 4 + POINT_FIXED_LEN - 1;
+        // The od_pair tag follows the truth trip's two element ids; its
+        // strings "T" and "S" (3 bytes each) close the payload.
+        let od_tag = buf.len() - 2 * 3 - 1;
+        for (at, what) in [(point_tag, "element tag"), (od_tag, "od_pair tag")] {
+            assert_eq!(buf[at], 1, "{what} offset");
+            let mut raw = buf.to_vec();
+            raw[at] = 2;
+            let err = decode_session(&mut &raw[..]).unwrap_err();
+            assert!(err.to_string().contains(&format!("invalid {what} 2")), "{err}");
+        }
+        // In a stored record with a valid CRC the bad tag is a corrupt
+        // record, not a silently different session.
+        let path = tmp_path("badtag.tts");
+        save_sessions(&path, &sample_sessions(2)).unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        let span = record_spans(&raw).unwrap()[1];
+        raw[span.payload_start + point_tag] = 2;
+        let crc = crc32(&raw[span.payload_start..span.end]);
+        raw[span.payload_start - 4..span.payload_start].copy_from_slice(&crc.to_le_bytes());
+        let salvage = salvage_bytes(&raw);
+        assert_eq!(salvage.report.records_valid, 1);
+        assert_eq!(salvage.report.damage.len(), 1);
+        assert_eq!(salvage.report.damage[0].index, 1);
+        assert_eq!(salvage.report.damage[0].kind, DamageKind::CorruptRecord);
+        assert_eq!(
+            salvage.report.damage[0].detail,
+            "payload does not decode: bad store file: invalid element tag 2"
+        );
+        assert!(load_bytes(&raw, &LoadOptions::strict()).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -847,7 +929,7 @@ mod tests {
         let path = tmp_path("indexed.tts");
         let sessions = sample_sessions(9);
         save_sessions_tagged(&path, &sessions, 0xCAFE).unwrap();
-        let raw = Bytes::from(std::fs::read(&path).unwrap());
+        let raw = std::fs::read(&path).unwrap();
         let indexed = load_bytes(&raw, &LoadOptions::strict()).unwrap();
         assert!(indexed.indexed);
         assert_eq!(indexed.report.fingerprint, 0xCAFE);
@@ -867,8 +949,7 @@ mod tests {
         // Flip a bit inside the offset index (first entry).
         raw[HEADER_LEN + 2] ^= 0x40;
         // Fast path refuses...
-        let bytes = Bytes::from(raw.clone());
-        assert!(indexed_load_bytes(&bytes).is_none());
+        assert!(indexed_load_bytes(&raw).is_none());
         // ...but the sequential scan recovers everything, flagging the index.
         let salvage = salvage_bytes(&raw);
         assert_eq!(salvage.report.version, 3);
@@ -905,8 +986,7 @@ mod tests {
         }
         buf.clear();
         encode_session(&mut buf, &s).unwrap();
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_session(&mut bytes).unwrap(), s);
+        assert_eq!(decode_session(&mut &buf[..]).unwrap(), s);
     }
 
     #[test]
@@ -939,8 +1019,7 @@ mod tests {
         let mut raw = buf.to_vec();
         // Point count lives after id(8)+taxi(1)+3×i64(24)+2×f64(16) = 49.
         raw[49..53].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut bytes = Bytes::from(raw);
-        let err = decode_session(&mut bytes).unwrap_err();
+        let err = decode_session(&mut &raw[..]).unwrap_err();
         assert!(matches!(err, StoreError::BadFormat(_)));
         assert!(err.to_string().contains("point count"), "{err}");
     }
@@ -1034,7 +1113,7 @@ mod tests {
             assert_eq!((salvage3.report.version, salvage3.report.records_valid), (0, 0));
             assert_eq!(salvage3.report.damage.len(), 1);
             assert_eq!(salvage3.report.damage[0].kind, DamageKind::HeaderMismatch);
-            assert!(load_bytes(&Bytes::from(old), &LoadOptions::strict()).is_err());
+            assert!(load_bytes(&old, &LoadOptions::strict()).is_err());
         }
         std::fs::remove_file(&path).ok();
     }

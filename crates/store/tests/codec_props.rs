@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 use taxitrace_geo::{GeoPoint, Point};
 use taxitrace_roadnet::{ElementId, NodeId};
-use bytes::Bytes;
 use taxitrace_store::codec::{load, load_bytes, record_spans, salvage_bytes, save_sessions_tagged};
 use taxitrace_store::{DamageKind, LoadOptions, StoreError};
 use taxitrace_timebase::{Duration, Timestamp};
@@ -169,7 +168,7 @@ proptest! {
         let sessions = gen_sessions(seed);
         let path = scratch_file("v3-seek");
         save_sessions_tagged(&path, &sessions, fp).expect("save v3");
-        let raw = Bytes::from(std::fs::read(&path).expect("read"));
+        let raw = std::fs::read(&path).expect("read");
 
         let salvage = salvage_bytes(&raw);
         prop_assert!(salvage.report.is_clean());

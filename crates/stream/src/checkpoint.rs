@@ -68,7 +68,7 @@ pub(crate) fn load_stream_checkpoint(
     if file.fingerprint != fingerprint {
         return None;
     }
-    let mut b = file.section("stream/cursor")?.clone();
+    let mut b = file.section("stream/cursor")?;
     let cursor = take_u64(&mut b).ok()?;
     let n = take_u32(&mut b).ok()? as usize;
     let mut counters = Vec::with_capacity(n);

@@ -321,6 +321,16 @@ store_sha=$(sha256sum "$fddir/trips.tts" | cut -d' ' -f1)
     exit 1
 }
 same_as_batch "--store replay" "$(front_door_fp --store "$fddir/trips.tts")"
+# The full study year's image (about 62 MB) goes through the same decoder:
+# its --store replay must print the pinned full-scale fingerprint.
+./target/release/repro --scale 1.0 store-save "$fddir/full.tts" > /dev/null 2>&1
+full_store_fp=$(./target/release/repro --scale 1.0 --store "$fddir/full.tts" fingerprint \
+    2>/dev/null | sed -n 's/^study fingerprint \(0x[0-9a-f]*\)$/\1/p')
+[ "$full_store_fp" = "0xf2d392b82926b399" ] || {
+    echo "verify: scale 1.0 --store replay fingerprint '$full_store_fp' != pinned 0xf2d392b82926b399" >&2
+    exit 1
+}
+rm -f "$fddir/full.tts"
 same_as_batch "first --checkpoint-dir run" "$(front_door_fp --checkpoint-dir "$fddir/ck")"
 test -s "$fddir/ck/simulate.ttck" || {
     echo "verify: --checkpoint-dir run wrote no simulate checkpoint" >&2
@@ -334,7 +344,7 @@ for stage in clean od; do
 done
 same_as_batch "second --checkpoint-dir run" "$(front_door_fp --checkpoint-dir "$fddir/ck")"
 rm -rf "$fddir"
-echo "front-door smoke OK: store image pinned; store replay and checkpoint resume print $fp_small"
+echo "front-door smoke OK: store image pinned; store replays (scale 0.05 and 1.0) and checkpoint resume print their batch fingerprints"
 
 # Serve smoke: start the HTTP query service on an ephemeral port, issue
 # one query of each kind, and check (a) every route answers canonical
