@@ -87,7 +87,7 @@ pub use taxitrace_traces::FaultPlan;
 // The executor's task-failure type, as [`clean_failure`] takes it.
 pub use taxitrace_exec::TaskError;
 pub use taxitrace_cleaning::CleaningTotals;
-pub use gridstats::{CellStat, GridStats, Table5, Table5Class};
+pub use gridstats::{CellStat, GridIndex, GridStats, Table5, Table5Class};
 pub use mixedanalysis::{mixed_model, mixed_model_with_features, CellEffect, MixedResults};
 pub use queryapi::{
     answer, escape_json, CellSpeedRow, OdFlowRow, QueryEngine, QueryError, QueryRequest,

@@ -8,6 +8,10 @@
 //! grid analysis (Table 5). Everything funnels through [`answer`], so an
 //! HTTP reply and an in-process call over the same data are guaranteed to
 //! agree byte-for-byte — the serving parity proptest pins exactly that.
+//!
+//! Grid answers are lookups in a [`GridIndex`], which holds the all-pairs
+//! analysis and one per direction pair from a single binning pass. The
+//! serving snapshot builds it once at open, so no request bins points.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,7 +21,7 @@ use taxitrace_timebase::Timestamp;
 use taxitrace_traces::{TaxiId, TripId};
 
 use crate::experiment::StudyOutput;
-use crate::gridstats::GridStats;
+use crate::gridstats::{CellStat, GridIndex};
 
 /// A query that can never match: the caller asked for something
 /// contradictory, which is refused instead of answered with an empty result.
@@ -105,7 +109,7 @@ pub enum QueryResponse {
 
 /// Anything that can answer the unified queries. Implemented by
 /// [`StudyOutput`] (batch path) and by `taxitrace-serve`'s snapshot
-/// (serving path, with a cached all-pairs grid analysis).
+/// (serving path, with its [`GridIndex`] built once at open).
 pub trait QueryEngine {
     /// Answers one typed request. Contradictory requests (an inverted
     /// time window) are a typed error rather than an empty result.
@@ -114,18 +118,19 @@ pub trait QueryEngine {
 
 impl QueryEngine for StudyOutput {
     fn query(&self, req: &QueryRequest) -> Result<QueryResponse, QueryError> {
-        // The batch path recomputes the grid analysis per call; the
-        // serving snapshot passes a cached one into the same `answer`.
-        answer(self, &self.grid_stats(None), req)
+        // The batch path builds the grid index per call; the serving
+        // snapshot passes the one it built at open into the same `answer`.
+        answer(self, &self.grid_index(), req)
     }
 }
 
-/// Answers `req` against a study output plus a precomputed all-pairs grid
-/// analysis. The one implementation behind every [`QueryEngine`], so the
-/// batch and serving paths cannot drift.
+/// Answers `req` against a study output plus its grid index
+/// ([`StudyOutput::grid_index`]). The one implementation behind every
+/// [`QueryEngine`], so the batch and serving paths cannot drift. Grid
+/// answers are lookups in `grid`: no request bins a point.
 pub fn answer(
     output: &StudyOutput,
-    all_cells: &GridStats,
+    grid: &GridIndex,
     req: &QueryRequest,
 ) -> Result<QueryResponse, QueryError> {
     match req {
@@ -164,7 +169,7 @@ pub fn answer(
             Ok(QueryResponse::OdFlow { rows })
         }
         QueryRequest::CellSpeed { cell } => Ok(QueryResponse::CellSpeed {
-            row: all_cells.cells.get(cell).map(|s| cell_row(*cell, s)),
+            row: grid.all.cells.get(cell).map(|s| cell_row(*cell, s)),
         }),
         QueryRequest::TripLookup { trip } => Ok(QueryResponse::TripLookup {
             trip: output.store.get(*trip).map(|s| TripSummary {
@@ -178,23 +183,23 @@ pub fn answer(
             }),
         }),
         QueryRequest::GridStats { pair } => {
-            let computed;
+            // A pair without transitions has no cells, as `grid_stats`
+            // gives it.
             let stats = match pair {
-                None => all_cells,
-                Some(p) => {
-                    computed = output.grid_stats(Some(p));
-                    &computed
-                }
+                None => Some(&grid.all),
+                Some(p) => grid.by_pair.get(p),
             };
             Ok(QueryResponse::GridStats {
-                cells: stats.cells.iter().map(|(c, s)| cell_row(*c, s)).collect(),
-                feature_totals: stats.feature_totals,
+                cells: stats.map_or_else(Vec::new, |s| {
+                    s.cells.iter().map(|(c, s)| cell_row(*c, s)).collect()
+                }),
+                feature_totals: grid.all.feature_totals,
             })
         }
     }
 }
 
-fn cell_row(cell: CellId, s: &crate::gridstats::CellStat) -> CellSpeedRow {
+fn cell_row(cell: CellId, s: &CellStat) -> CellSpeedRow {
     CellSpeedRow {
         cell,
         n: s.n,

@@ -7,6 +7,9 @@
 //! [`EpochReader`] so the per-request snapshot access is a single atomic
 //! load — no locks on the read path. Metrics handles (atomic counters /
 //! histogram cells) are pre-registered at startup for the same reason.
+//! A query's body comes from `Snapshot::body`: parameter-free answers
+//! are bytes the snapshot encoded at open, the rest are answered and
+//! encoded per request.
 //!
 //! Routes (all GET, `Connection: close`):
 //!
@@ -26,7 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use taxitrace_core::{escape_json, QueryEngine, QueryRequest};
+use taxitrace_core::{escape_json, QueryRequest};
 use taxitrace_geo::CellId;
 use taxitrace_obs::{render_json, Counter, Histogram, Registry};
 use taxitrace_timebase::Timestamp;
@@ -177,7 +180,8 @@ impl Server {
     }
 
     /// The current snapshot, for in-process queries through the same
-    /// [`QueryEngine`] the HTTP workers use.
+    /// [`QueryEngine`](taxitrace_core::QueryEngine) answers the HTTP
+    /// workers serve.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.cell.load()
     }
@@ -334,10 +338,10 @@ fn handle_conn(
                 count_kind(metrics, &req);
                 // lint:allow(determinism): request latency is wall-clock telemetry, not pipeline state
                 let t0 = std::time::Instant::now();
-                let result = reader.get().query(&req);
+                let result = reader.get().body(&req);
                 metrics.latency_us.observe(t0.elapsed().as_secs_f64() * 1e6);
                 match result {
-                    Ok(resp) => respond(&mut stream, 200, &resp.to_json()),
+                    Ok(body) => respond(&mut stream, 200, &body),
                     Err(e) => {
                         metrics.errors_total.inc();
                         respond(&mut stream, 400, &err_json(&e.to_string()));
@@ -456,8 +460,8 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) {
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    // Head and body in one buffer, sent with one write.
+    let _ = stream.write_all(&[head.as_bytes(), body.as_bytes()].concat());
     let _ = stream.flush();
 }
 

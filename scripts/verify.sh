@@ -386,6 +386,20 @@ assert od["rows"], "od_flow returned no rows"
 grid = get("/grid_stats")
 assert grid["cells"], "grid_stats returned no cells"
 
+# Per-pair grids: a pair from /od_flow's rows has cells, all of them
+# among the all-pairs cells, and the same feature totals; an unknown
+# pair answers no cells with those totals.
+pair = od["rows"][0]["pair"]
+one = get(f"/grid_stats?pair={pair}")
+assert one.get("kind") == "grid_stats", f"pair {pair} answered {one.get('kind')!r}"
+assert one["cells"], f"grid_stats?pair={pair} returned no cells"
+all_cells = {(c["ix"], c["iy"]) for c in grid["cells"]}
+assert {(c["ix"], c["iy"]) for c in one["cells"]} <= all_cells, f"pair {pair} has cells outside the grid"
+assert one["feature_totals"] == grid["feature_totals"], "per-pair feature totals differ"
+nope = get("/grid_stats?pair=NOPE")
+assert nope["cells"] == [] and nope["feature_totals"] == grid["feature_totals"], \
+    f"unknown pair answered {nope!r}"
+
 # An inverted window must be a typed 400, not an empty result.
 try:
     get("/od_flow?from=100&to=0")

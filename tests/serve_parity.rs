@@ -125,7 +125,7 @@ fn http_responses_equal_in_process_answers() {
     let snap = server.snapshot();
     let first_trip = snap.output().store.sessions()[0].id.0;
     let (&cell, _) = snap.grid().cells.iter().next().expect("populated grid");
-    let cases = vec![
+    let mut cases = vec![
         ("/od_flow".to_string(), QueryRequest::OdFlow { window: None }),
         (
             format!("/cell_speed?ix={}&iy={}", cell.ix, cell.iy),
@@ -134,6 +134,14 @@ fn http_responses_equal_in_process_answers() {
         (format!("/trip?id={first_trip}"), QueryRequest::TripLookup { trip: TripId(first_trip) }),
         ("/grid_stats".to_string(), QueryRequest::GridStats { pair: None }),
     ];
+    let pairs = snap.output().pairs();
+    assert!(!pairs.is_empty(), "the study has direction pairs");
+    for pair in pairs.into_iter().chain(["NOPE".to_string()]) {
+        cases.push((
+            format!("/grid_stats?pair={pair}"),
+            QueryRequest::GridStats { pair: Some(pair) },
+        ));
+    }
     for (path, req) in cases {
         let (status, body) = http_get(server.addr(), &path);
         assert_eq!(status, 200, "{path}");
@@ -145,6 +153,39 @@ fn http_responses_equal_in_process_answers() {
     assert!(body.contains("empty time range"), "{body}");
     let (status, _) = http_get(server.addr(), "/no_such_route");
     assert_eq!(status, 404);
+    server.shutdown();
+}
+
+/// The bodies a snapshot encodes at open travel with it: after a swap to
+/// another seed's snapshot, `/grid_stats?pair=` serves the new snapshot's
+/// bytes, not the old ones.
+#[test]
+fn swapped_snapshot_serves_its_own_bodies() {
+    let server = Server::start(
+        Snapshot::from_output(Study::new(config()).run().expect("study runs")),
+        0,
+        2,
+        taxi_traces::obs::Registry::new(),
+    )
+    .expect("server starts");
+    let old = server.snapshot();
+    let next = Snapshot::from_output(
+        Study::new(StudyConfig::scaled(8, 0.1)).run().expect("study runs"),
+    );
+    server.swap(next);
+    let new = server.snapshot();
+    let mut changed = 0;
+    for pair in new.output().pairs() {
+        let path = format!("/grid_stats?pair={pair}");
+        let req = QueryRequest::GridStats { pair: Some(pair) };
+        let (status, body) = http_get(server.addr(), &path);
+        assert_eq!(status, 200, "{path}");
+        assert_eq!(body, new.query(&req).expect("valid query").to_json(), "{path}");
+        if body != old.query(&req).expect("valid query").to_json() {
+            changed += 1;
+        }
+    }
+    assert!(changed > 0, "the two seeds must give different per-pair grids");
     server.shutdown();
 }
 
