@@ -1,10 +1,10 @@
 //! Trip-store benchmarks: ingest into the id-keyed store, and the
-//! container codec A/B — sequential salvage scan versus offset-index seek
-//! reads over the same image.
+//! container codec A/B — the buffered walk of a store file versus the same
+//! walk over its image in memory.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use taxitrace_bench::{bench_city, bench_fleet};
-use taxitrace_store::codec::{load_bytes, salvage_bytes, save_sessions_tagged};
+use taxitrace_store::codec::{load, load_bytes, save_sessions_tagged};
 use taxitrace_store::{LoadOptions, TripStore};
 
 fn store_benches(c: &mut Criterion) {
@@ -28,9 +28,9 @@ fn store_benches(c: &mut Criterion) {
     });
     group.finish();
 
-    // Container codec A/B: the same image loaded by the sequential CRC
-    // scan (the salvage path) and by the offset index (seek + in-place
-    // payload decode, the path every clean load takes).
+    // Container codec A/B: the same store read by the buffered walk of
+    // the file (what every load takes) and by the same walk over the
+    // image already in memory.
     let dir = std::env::temp_dir().join(format!("taxitrace-bench-codec-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench dir");
     let path = dir.join("fleet.ttrs");
@@ -39,13 +39,15 @@ fn store_benches(c: &mut Criterion) {
 
     let mut codec = c.benchmark_group("codec_ab");
     codec.throughput(criterion::Throughput::Bytes(raw.len() as u64));
-    codec.bench_function("full_load_scan", |b| b.iter(|| salvage_bytes(&raw).sessions.len()));
-    codec.bench_function("full_load_indexed", |b| {
+    codec.bench_function("load_path", |b| {
         b.iter(|| {
-            let out = load_bytes(&raw, &LoadOptions::strict()).expect("clean image");
-            assert!(out.indexed, "a clean image must take the indexed path");
+            let out = load(&path, &LoadOptions::strict()).expect("clean store");
+            assert!(out.indexed, "a clean store must verify its index");
             out.sessions.len()
         })
+    });
+    codec.bench_function("load_bytes", |b| {
+        b.iter(|| load_bytes(&raw, &LoadOptions::strict()).expect("clean image").sessions.len())
     });
     codec.finish();
 

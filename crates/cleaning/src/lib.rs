@@ -1,19 +1,19 @@
 //! Data cleaning (§IV-B) and taxi-specific trip segmentation (§IV-C).
 //!
-//! * [`order`] — the §IV-B order repair: route points are sorted once by
+//! * `order` — the §IV-B order repair: route points are sorted once by
 //!   server id and once by timestamp; the sequence with the *smaller total
 //!   trip distance* is judged correct, and properties are re-aligned to it
 //!   with monotonically increasing timestamps.
-//! * [`segmentation`] — the paper's Table 2 time-based rules splitting one
+//! * `segmentation` — the paper's Table 2 time-based rules splitting one
 //!   all-day engine-on session into driven trip segments (taxi drivers
 //!   "can drive almost the whole day without turning off the car engine").
-//! * [`filters`] — the §IV-C post filters: segments with fewer than five
+//! * `filters` — the §IV-C post filters: segments with fewer than five
 //!   route points or longer than 30 km are removed; segments over 40 km are
 //!   re-split by rule 5 before filtering.
-//! * [`pipeline`] — the composed cleaning pipeline with per-stage audit
+//! * `pipeline` — the composed cleaning pipeline with per-stage audit
 //!   counters, plus ground-truth validation helpers the original study
 //!   could not have.
-//! * [`anomaly`] — post-cleaning invariant checks (position jump, clock
+//! * `anomaly` — post-cleaning invariant checks (position jump, clock
 //!   skew, dropout, stuck sensor) backing the record-level quarantine:
 //!   sessions cleaning cannot make physically plausible are routed to a
 //!   dead-letter ledger instead of poisoning the study.

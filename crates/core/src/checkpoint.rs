@@ -146,13 +146,13 @@ fn load_simulated(study: &Study, ck: &CheckpointFile) -> Result<Simulated, Error
 
 // ---- payload codecs (store wire primitives; little-endian) --------------
 
-fn encode_sessions(sessions: &[RawTrip]) -> Result<Vec<u8>, StoreError> {
+fn encode_sessions(sessions: &[RawTrip]) -> Result<BytesMut, StoreError> {
     let mut buf = BytesMut::new();
     buf.put_u64_le(sessions.len() as u64);
     for s in sessions {
         encode_session(&mut buf, s)?;
     }
-    Ok(buf.as_ref().to_vec())
+    Ok(buf)
 }
 
 fn decode_sessions(b: &mut &[u8]) -> Result<Vec<RawTrip>, StoreError> {
@@ -166,9 +166,7 @@ fn decode_sessions(b: &mut &[u8]) -> Result<Vec<RawTrip>, StoreError> {
 
 /// The `chaos.*` counters of a live simulate stage (empty without a
 /// fault-injecting plan), encoded name-value.
-fn encode_chaos_counters(
-    metrics: &taxitrace_obs::MetricsSnapshot,
-) -> Result<Vec<u8>, StoreError> {
+fn encode_chaos_counters(metrics: &taxitrace_obs::MetricsSnapshot) -> Result<BytesMut, StoreError> {
     let chaos: Vec<&(String, u64)> =
         metrics.counters.iter().filter(|(name, _)| name.starts_with("chaos.")).collect();
     let mut buf = BytesMut::new();
@@ -177,7 +175,7 @@ fn encode_chaos_counters(
         put_str(&mut buf, name)?;
         buf.put_u64_le(*value);
     }
-    Ok(buf.as_ref().to_vec())
+    Ok(buf)
 }
 
 fn decode_chaos_counters(b: &mut &[u8]) -> Result<Vec<(String, u64)>, StoreError> {

@@ -17,9 +17,9 @@
 //!   context), the natural ablation;
 //! * [`hmm`] — a Viterbi matcher in the spirit of Lou et al. (2009), the
 //!   stronger baseline for uneven sampling;
-//! * [`path`] — Dijkstra gap filling: converting per-point matches into a
+//! * `path` — Dijkstra gap filling: converting per-point matches into a
 //!   contiguous traffic-element sequence;
-//! * [`accuracy`] — ground-truth evaluation (the simulator knows the true
+//! * `accuracy` — ground-truth evaluation (the simulator knows the true
 //!   element under every point).
 
 #![forbid(unsafe_code)]

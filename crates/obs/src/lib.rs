@@ -12,7 +12,7 @@
 //! * [`Span`] — hierarchical wall-clock spans (`"study/match_fuse/index"`)
 //!   with per-stage item throughput.
 //! * [`MetricsSnapshot`] — a deterministic point-in-time copy, rendered by
-//!   the sinks in [`sink`]: a human table, stable-schema JSON, or
+//!   the sinks in `sink`: a human table, stable-schema JSON, or
 //!   Prometheus text exposition.
 //!
 //! Zero dependencies (same vendored-shim discipline as `third_party/`):

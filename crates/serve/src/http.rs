@@ -4,7 +4,7 @@
 //! needs exactly "parse a GET line, answer canonical JSON", and a full
 //! framework would drag in an async runtime the workspace doesn't have.
 //! `N` worker threads share one listener via `try_clone`; each owns an
-//! [`EpochReader`] so the per-request snapshot access is a single atomic
+//! [`EpochReader`](crate::EpochReader) so the per-request snapshot access is a single atomic
 //! load — no locks on the read path. Metrics handles (atomic counters /
 //! histogram cells) are pre-registered at startup for the same reason.
 //! A query's body comes from `Snapshot::body`: parameter-free answers

@@ -2,10 +2,12 @@
 //!
 //! A [`Snapshot`] is a fully analysed study pinned in memory: the trip
 //! store plus every derived product the four query kinds need. Opening
-//! one goes through the store codec's verified read path — a clean v3
-//! container is served via its offset index (zero-copy seek reads), any
-//! damage demotes the read to the salvage scan with the loss quarantined
-//! and counted, and a config-fingerprint mismatch is refused outright.
+//! one goes through the store codec's verified read path: one walk of
+//! the file through a fixed-size read buffer and one reused record
+//! buffer, so the 62 MB file image is never held whole next to the
+//! decoded sessions. The walk verifies every record and the offset
+//! index, a damaged file's loss is quarantined and counted, and a
+//! config-fingerprint mismatch is refused outright.
 //! Once built, a snapshot is never mutated; replacement is a whole-object
 //! swap through [`crate::EpochCell`], which carries the encoded bodies
 //! along with the data they were encoded from.

@@ -16,7 +16,7 @@
 //!   O(n) profiled REML likelihood via per-group Woodbury identities,
 //!   Brent optimisation of the variance ratio, BLUPs with prediction
 //!   standard errors;
-//! * [`qq`] — normal QQ-plot data (Fig. 7);
+//! * `qq` — normal QQ-plot data (Fig. 7);
 //! * [`brent_min`] — 1-D function minimisation.
 
 #![forbid(unsafe_code)]

@@ -24,15 +24,17 @@
 //! fails validation is simply recomputed by the pipeline, so any damage
 //! is a typed [`StoreError::BadFormat`] (which resume already treats as
 //! "no checkpoint"). Writes are atomic *and fsynced* via
-//! [`crate::integrity::write_atomic`].
+//! [`crate::integrity::write_atomic_with`]. Reads take the whole image:
+//! resume is the only reader, and it decodes every section anyway.
 
+use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
 
 use bytes::{BufMut, BytesMut};
 
 use crate::codec::{put_str, take_str, take_u32, take_u64};
-use crate::integrity::{crc32, write_atomic};
+use crate::integrity::{crc32, write_atomic_with};
 use crate::StoreError;
 
 /// Magic prefix of v2 checkpoint files, the only checkpoint format.
@@ -64,8 +66,10 @@ impl CheckpointFile {
     }
 }
 
-/// Writes a v2 checkpoint atomically: encode in memory, publish with
-/// temp file + fsync + rename.
+/// Writes a v2 checkpoint atomically: the header and each section's
+/// frame go through one small buffer and are streamed out with the
+/// caller's payloads, which are never copied into a file image; the
+/// file is published with temp file + fsync + rename.
 pub fn save_checkpoint(
     path: &Path,
     fingerprint: u64,
@@ -73,22 +77,26 @@ pub fn save_checkpoint(
 ) -> Result<(), StoreError> {
     let count = u64::try_from(sections.len())
         .map_err(|_| StoreError::BadFormat("section count exceeds u64".into()))?;
-    let mut out = BytesMut::new();
-    out.put_slice(&CHECKPOINT_MAGIC_V2);
-    out.put_u64_le(fingerprint);
-    out.put_u64_le(count);
-    let header_crc = crc32(&out);
-    out.put_u32_le(header_crc);
-    for (name, payload) in sections {
-        put_str(&mut out, name)?;
-        let len = u64::try_from(payload.len())
-            .map_err(|_| StoreError::BadFormat("section length exceeds u64".into()))?;
-        out.put_u64_le(len);
-        out.put_u32_le(crc32(payload));
-        out.put_slice(payload);
-    }
-    write_atomic(path, &out)?;
-    Ok(())
+    let mut head = BytesMut::new();
+    head.put_slice(&CHECKPOINT_MAGIC_V2);
+    head.put_u64_le(fingerprint);
+    head.put_u64_le(count);
+    let header_crc = crc32(&head);
+    head.put_u32_le(header_crc);
+    write_atomic_with(path, |out| {
+        out.write_all(&head)?;
+        for (name, payload) in sections {
+            head.clear();
+            put_str(&mut head, name)?;
+            let len = u64::try_from(payload.len())
+                .map_err(|_| StoreError::BadFormat("section length exceeds u64".into()))?;
+            head.put_u64_le(len);
+            head.put_u32_le(crc32(payload));
+            out.write_all(&head)?;
+            out.write_all(payload)?;
+        }
+        Ok(())
+    })
 }
 
 /// Reads and validates a v2 checkpoint.

@@ -24,17 +24,20 @@
 //! length check, so [`load`] with [`LoadOptions::salvage`] recovers every
 //! record that still verifies instead of aborting (see [`SalvageReport`]).
 //!
-//! The offset index buys *seek reads*: [`load`] jumps straight to each
-//! record and decodes it in place. The file is read into one owned
-//! buffer and every reader borrows `&[u8]` slices of it, so the image
-//! is held once, never copied into a second buffer. The
-//! record-count field is covered by the header CRC, so the body start
+//! Memory is bounded by one record, never the file image (62 MB at
+//! scale 1). [`load`] walks the file front to back through a fixed-size
+//! read buffer, reading each payload into one reused record buffer to
+//! verify and decode it; the offset index is checked against the walk
+//! rather than seeked by, and a clean walk that found every frame at its
+//! index slot is reported as [`LoadOutcome::indexed`]. The record-count
+//! field is covered by the header CRC, so the body start
 //! `28 + count*8 + 4` stays computable even when the index bytes
-//! themselves are damaged — salvage then falls back to a sequential frame
-//! scan and recovers every verifiable record. Any other magic, the
-//! retired v1 and v2 ones included, is an unknown container. Writes are
-//! atomic everywhere via [`crate::integrity::write_atomic`].
+//! themselves are damaged, and the walk still recovers every verifiable
+//! record. Any other magic, the retired v1 and v2 ones included, is an
+//! unknown container. Writes stream the same way through
+//! [`crate::integrity::write_atomic_with`], so they are atomic too.
 
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use bytes::{BufMut, BytesMut};
@@ -45,7 +48,7 @@ use taxitrace_traces::{
     CustomerTripTruth, PointTruth, RawTrip, RecordSpan, RoutePoint, TaxiId, TripId,
 };
 
-use crate::integrity::{crc32, write_atomic};
+use crate::integrity::{crc32, write_atomic_with};
 use crate::StoreError;
 
 /// Magic prefix of store files.
@@ -61,6 +64,10 @@ const FRAME_LEN: usize = 8 + 4;
 /// truth seq and the element tag. A tag of 1 is followed by an 8-byte
 /// element id.
 const POINT_FIXED_LEN: usize = 8 + 8 * 8 + 4 + 1;
+/// Capacity of the buffered reader [`load`] walks a file through.
+const READ_BUF: usize = 64 * 1024;
+/// Torn-tail detail for a source that ended before its length.
+const SHRANK: &str = "file ended early (it shrank while being read)";
 /// Cap on individually reported torn-tail records; a torn tail that loses
 /// more is summarised in the final damage entry so a corrupt header count
 /// cannot balloon the report.
@@ -79,8 +86,8 @@ pub enum DamageKind {
     /// with the file body (declared count vs. records present).
     HeaderMismatch,
     /// The offset index failed its CRC. The records themselves are
-    /// unaffected — salvage recovers them by sequential scan — but seek
-    /// reads are off the table until the file is rewritten.
+    /// unaffected — the walk still recovers them — but no read of the
+    /// file is reported as indexed until it is rewritten.
     CorruptIndex,
 }
 
@@ -131,15 +138,6 @@ impl SalvageReport {
     }
 }
 
-/// Result of a salvage read: every recoverable session plus the report.
-#[derive(Debug, Clone)]
-pub struct Salvage {
-    /// Sessions that verified and decoded, in file order.
-    pub sessions: Vec<RawTrip>,
-    /// Per-file integrity report.
-    pub report: SalvageReport,
-}
-
 /// Writes sessions to `path` as an untagged container (fingerprint 0).
 pub fn save_sessions(path: &Path, sessions: &[RawTrip]) -> Result<(), StoreError> {
     save_sessions_tagged(path, sessions, 0)
@@ -149,40 +147,46 @@ pub fn save_sessions(path: &Path, sessions: &[RawTrip]) -> Result<(), StoreError
 /// with the given config fingerprint. The write is atomic: temp file +
 /// fsync + rename.
 ///
-/// The image is built in one buffer: the offset index is laid down as
-/// zeros and each slot is patched as its record is framed, and each
-/// record is encoded in place after a zeroed length + CRC slot, which is
-/// patched in turn.
+/// The file is streamed: the header, then a zeroed offset index and
+/// index-CRC slot, then each session encoded into one reused buffer and
+/// framed with its length and CRC. At the end the writer seeks back and
+/// fills in the index and its CRC.
 pub fn save_sessions_tagged(
     path: &Path,
     sessions: &[RawTrip],
     fingerprint: u64,
 ) -> Result<(), StoreError> {
-    let mut out = BytesMut::new();
-    out.put_slice(&MAGIC_V3);
-    out.put_u64_le(fingerprint);
-    out.put_u64_le(checked_u64(sessions.len(), "session count")?);
-    let header_crc = crc32(&out);
-    out.put_u32_le(header_crc);
-    let index_start = out.len();
-    let index_end = index_start + sessions.len() * 8;
-    out.put_bytes(0, index_end - index_start + INDEX_CRC_LEN);
-    for (slot, s) in (index_start..index_end).step_by(8).zip(sessions) {
-        let frame = out.len();
-        let offset = checked_u64(frame, "record offset")?;
-        out[slot..slot + 8].copy_from_slice(&offset.to_le_bytes());
-        let payload = frame + FRAME_LEN;
-        out.put_bytes(0, FRAME_LEN);
-        encode_session(&mut out, s)?;
-        let len = checked_u64(out.len() - payload, "session record length")?;
-        let crc = crc32(&out[payload..]);
-        out[frame..frame + 8].copy_from_slice(&len.to_le_bytes());
-        out[frame + 8..payload].copy_from_slice(&crc.to_le_bytes());
-    }
-    let index_crc = crc32(&out[index_start..index_end]);
-    out[index_end..index_end + INDEX_CRC_LEN].copy_from_slice(&index_crc.to_le_bytes());
-    write_atomic(path, &out)?;
-    Ok(())
+    let mut head = BytesMut::with_capacity(HEADER_LEN);
+    head.put_slice(&MAGIC_V3);
+    head.put_u64_le(fingerprint);
+    head.put_u64_le(checked_u64(sessions.len(), "session count")?);
+    let header_crc = crc32(&head);
+    head.put_u32_le(header_crc);
+    let index_len = sessions.len() * 8;
+    let mut index = BytesMut::with_capacity(index_len + INDEX_CRC_LEN);
+    index.put_bytes(0, index_len + INDEX_CRC_LEN);
+    write_atomic_with(path, |out| {
+        out.write_all(&head)?;
+        out.write_all(&index)?;
+        index.clear();
+        let mut offset = checked_u64(HEADER_LEN + index_len + INDEX_CRC_LEN, "record offset")?;
+        let mut record = BytesMut::new();
+        for s in sessions {
+            index.put_u64_le(offset);
+            record.clear();
+            encode_session(&mut record, s)?;
+            let len = checked_u64(record.len(), "session record length")?;
+            out.write_all(&len.to_le_bytes())?;
+            out.write_all(&crc32(&record).to_le_bytes())?;
+            out.write_all(&record)?;
+            offset += FRAME_LEN as u64 + len;
+        }
+        let index_crc = crc32(&index);
+        index.put_u32_le(index_crc);
+        out.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        out.write_all(&index)?;
+        Ok(())
+    })
 }
 
 /// How [`load`] treats damage found in a container.
@@ -209,63 +213,58 @@ impl LoadOptions {
 }
 
 /// Result of a [`load`]: the sessions plus full provenance — the
-/// integrity report and whether the offset index served the read
-/// (seek + in-place payload decode) rather than the sequential scan.
+/// integrity report and whether the offset index verified the read.
 #[derive(Debug, Clone)]
 pub struct LoadOutcome {
     /// Sessions that verified and decoded, in file order.
     pub sessions: Vec<RawTrip>,
     /// Per-file integrity report; clean indexed reads carry a clean one.
     pub report: SalvageReport,
-    /// True when the offset index served the read. The pipeline reports
-    /// this as the `store.indexed_reads` counter.
+    /// True when the header and offset index verified, every frame
+    /// started at its index slot and the walk ended at the end of the
+    /// file with every record verifying. The pipeline reports this as the
+    /// `store.indexed_reads` counter.
     pub indexed: bool,
 }
 
-/// Reads sessions from `path`. The single store read entry point: a clean
-/// file is served through the offset-index fast path; a file with *any*
-/// verification failure goes through the sequential salvage scan so
-/// damage is named precisely. With [`LoadOptions::strict`] the first
-/// damage entry becomes a [`StoreError::BadFormat`]; with
-/// [`LoadOptions::salvage`] damage never fails the read — the worst case
-/// (unrecognised magic, failed header CRC) yields zero sessions and one
-/// [`DamageKind::HeaderMismatch`] entry in the report. Only I/O errors
-/// reading the file are fatal in salvage mode.
+/// Reads sessions from `path`: the one store read entry point, walking
+/// the file front to back through a fixed-size buffer and one reused
+/// record buffer (see the module docs). With
+/// [`LoadOptions::strict`] the first damage entry becomes a
+/// [`StoreError::BadFormat`]; with [`LoadOptions::salvage`] damage never
+/// fails the read — the worst case (unrecognised magic, failed header
+/// CRC) yields zero sessions and one [`DamageKind::HeaderMismatch`] entry
+/// in the report. Only I/O errors reading the file are fatal in salvage
+/// mode.
 pub fn load(path: &Path, opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
-    load_bytes(&std::fs::read(path)?, opts)
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    enforce(walk(BufReader::with_capacity(READ_BUF, file), len)?, opts)
 }
 
-/// [`load`] over an in-memory image (benchmarks, tests).
+/// [`load`] over an in-memory image (tests, benchmarks): the same walk.
 pub fn load_bytes(raw: &[u8], opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
-    if let Some(Salvage { sessions, report }) = indexed_load_bytes(raw) {
-        return Ok(LoadOutcome { sessions, report, indexed: true });
-    }
-    let salvage = salvage_bytes(raw);
-    match salvage.report.damage.first() {
+    enforce(walk(raw, raw.len() as u64)?, opts)
+}
+
+/// The salvage read of an in-memory image (tests, benchmarks): every
+/// record that verifies, and the rest as typed damage. A slice read has
+/// no I/O to fail, so this is `Ok` for any bytes.
+pub fn salvage_bytes(raw: &[u8]) -> Result<LoadOutcome, StoreError> {
+    load_bytes(raw, &LoadOptions::salvage())
+}
+
+/// Applies [`LoadOptions`] to a finished walk.
+fn enforce(out: LoadOutcome, opts: &LoadOptions) -> Result<LoadOutcome, StoreError> {
+    match out.report.damage.first() {
         Some(d) if !opts.salvage => Err(StoreError::BadFormat(format!(
             "{} at record {}: {}",
             d.kind.label(),
             d.index,
             d.detail
         ))),
-        _ => Ok(LoadOutcome {
-            sessions: salvage.sessions,
-            report: salvage.report,
-            indexed: false,
-        }),
+        _ => Ok(out),
     }
-}
-
-/// The salvage scan over an in-memory image (fsck, tests): recovers every
-/// record that verifies and reports the rest as typed damage.
-pub fn salvage_bytes(raw: &[u8]) -> Salvage {
-    let mut report = SalvageReport::default();
-    let Some(header) = parse_header(raw, &mut report) else {
-        return Salvage { sessions: Vec::new(), report };
-    };
-    let sessions = salvage_records(raw, header, &mut report);
-    report.records_valid = sessions.len() as u64;
-    Salvage { sessions, report }
 }
 
 /// Byte extents of each framed record in a store image (frame and
@@ -273,115 +272,186 @@ pub fn salvage_bytes(raw: &[u8]) -> Salvage {
 /// unreadable header; used by the on-disk chaos injector to aim bit
 /// flips at record payloads and duplicate whole frames deterministically.
 pub fn record_spans(raw: &[u8]) -> Result<Vec<RecordSpan>, StoreError> {
-    let header = parse_header(raw, &mut SalvageReport::default())
+    let mut src = Source { reader: raw, len: raw.len() as u64, at: 0 };
+    read_header(&mut src, &mut SalvageReport::default())?
         .ok_or_else(|| StoreError::BadFormat("unreadable store header".into()))?;
     let mut spans = Vec::new();
-    let mut offset = header.body_start;
+    let mut offset = raw.len() - src.reader.len();
     while raw.len() - offset >= FRAME_LEN {
         let len = read_u64_at(raw, offset);
         let payload_at = offset + FRAME_LEN;
-        let Some(end) = payload_end(payload_at, len, raw.len()) else { break };
+        let Some(end) = usize::try_from(len)
+            .ok()
+            .and_then(|len| payload_at.checked_add(len))
+            .filter(|&end| end <= raw.len())
+        else {
+            break;
+        };
         spans.push(RecordSpan { frame_start: offset, payload_start: payload_at, end });
         offset = end;
     }
     Ok(spans)
 }
 
-/// Decodes the framed record at absolute offset `off` straight from a
-/// borrowed slice of `raw`; no payload bytes are copied before decode.
-/// Strict: CRC failure, truncation or trailing payload bytes yield `None`.
-fn decode_record_at(raw: &[u8], off: usize) -> Option<(RawTrip, usize)> {
-    if raw.len().saturating_sub(off) < FRAME_LEN {
-        return None;
-    }
-    let len = read_u64_at(raw, off);
-    let payload_at = off + FRAME_LEN;
-    let end = payload_end(payload_at, len, raw.len())?;
-    let mut payload = &raw[payload_at..end];
-    if crc32(payload) != read_u32_at(raw, off + 8) {
-        return None;
-    }
-    let session = decode_session(&mut payload).ok()?;
-    payload.is_empty().then_some((session, end))
+/// A container being walked: `reader` is positioned at byte `at` of `len`.
+struct Source<R> {
+    reader: R,
+    len: u64,
+    at: u64,
 }
 
-/// Indexed read of a whole image: seeks each record via the offset index
-/// and decodes payload slices borrowed from `raw` — no full-file scan, no
-/// per-payload copies. It is [`parse_header`] with no damage reported,
-/// offsets that tile the body exactly through to the end of the file, and
-/// every record verifying; anything else is `None`, so [`load_bytes`]
-/// falls back to [`salvage_bytes`] for a typed report.
-fn indexed_load_bytes(raw: &[u8]) -> Option<Salvage> {
-    let mut report = SalvageReport::default();
-    let header = parse_header(raw, &mut report).filter(|_| report.is_clean())?;
-    let mut sessions = Vec::with_capacity(header.declared.min(1 << 20) as usize);
-    let mut expected = header.body_start;
-    // parse_header verified that the whole index lies inside the file.
-    for slot in (HEADER_LEN..header.body_start - INDEX_CRC_LEN).step_by(8) {
-        if usize::try_from(read_u64_at(raw, slot)).ok()? != expected {
-            return None;
+impl<R: Read> Source<R> {
+    fn left(&self) -> u64 {
+        self.len - self.at
+    }
+
+    /// Fills `buf` from the source; `false` when the source ended first
+    /// (a file that shrank under the reader).
+    fn fill(&mut self, buf: &mut [u8]) -> io::Result<bool> {
+        match self.reader.read_exact(buf) {
+            Ok(()) => {
+                self.at += buf.len() as u64;
+                Ok(true)
+            }
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+            Err(e) => Err(e),
         }
-        let (session, end) = decode_record_at(raw, expected)?;
-        sessions.push(session);
-        expected = end;
     }
-    if expected != raw.len() {
-        return None;
-    }
-    report.records_valid = report.records_declared;
-    Some(Salvage { sessions, report })
 }
 
-/// Parsed, verified container header.
-struct Header {
-    declared: u64,
-    body_start: usize,
+/// The one store reader: walks a container `len` bytes long from `reader`,
+/// front to back — header, offset index, then each frame's payload into
+/// one reused record buffer — decoding every record that verifies and
+/// classifying the rest. Reading continues past a corrupt record (its
+/// frame still delimits it) and stops only at a torn tail, where the
+/// frame itself can no longer be trusted; a source that ends before
+/// `len` is a torn tail too. A frame's length is checked against what is
+/// left of `len` before the buffer grows, so a corrupt length cannot
+/// drive an allocation past the file size. Only I/O errors fail.
+fn walk(reader: impl Read, len: u64) -> io::Result<LoadOutcome> {
+    let mut src = Source { reader, len, at: 0 };
+    let mut report = SalvageReport::default();
+    let Some(index) = read_header(&mut src, &mut report)? else {
+        return Ok(LoadOutcome { sessions: Vec::new(), report, indexed: false });
+    };
+    let declared = report.records_declared;
+    let mut slots = index.chunks_exact(8);
+    let mut at_slots = true;
+    let mut sessions = Vec::with_capacity(declared.min(1 << 20) as usize);
+    let mut frame = [0u8; FRAME_LEN];
+    let mut record = Vec::new();
+    let mut i: u64 = 0;
+    let torn = loop {
+        let (at, left) = (src.at, src.left());
+        if left == 0 {
+            break None;
+        }
+        if left < FRAME_LEN as u64 {
+            break Some(format!("{left} bytes left, record frame needs {FRAME_LEN}"));
+        }
+        if !src.fill(&mut frame)? {
+            break Some(SHRANK.into());
+        }
+        let payload_len = read_u64_at(&frame, 0);
+        let left = src.left();
+        let Some(n) = usize::try_from(payload_len).ok().filter(|_| payload_len <= left) else {
+            break Some(format!("record claims {payload_len} bytes, only {left} remain"));
+        };
+        record.resize(n, 0);
+        if !src.fill(&mut record)? {
+            break Some(SHRANK.into());
+        }
+        at_slots &= slots.next().map(|slot| read_u64_at(slot, 0)) == Some(at);
+        let stored = read_u32_at(&frame, 8);
+        let actual = crc32(&record);
+        let damage = if stored != actual {
+            Some(format!("payload CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"))
+        } else {
+            let mut rest = &record[..];
+            match decode_session(&mut rest) {
+                Ok(s) if rest.is_empty() => {
+                    sessions.push(s);
+                    None
+                }
+                Ok(_) => Some(format!("{} undecoded payload bytes", rest.len())),
+                Err(e) => Some(format!("payload does not decode: {e}")),
+            }
+        };
+        if let Some(detail) = damage {
+            report.damage.push(RecordDamage { index: i, kind: DamageKind::CorruptRecord, detail });
+        }
+        i += 1;
+    };
+    if let Some(detail) = torn {
+        push_torn_tail(&mut report, i, declared, &detail);
+    } else if i < declared {
+        // The file ends cleanly on a record boundary but short of the
+        // declared count — a truncation that happened to land between
+        // records is still a torn tail.
+        push_torn_tail(&mut report, i, declared, "file ends before declared count");
+    } else if i > declared {
+        // The CRC-protected header disagrees with the body, which gained
+        // whole records (e.g. a duplicated record).
+        report.damage.push(RecordDamage {
+            index: i,
+            kind: DamageKind::HeaderMismatch,
+            detail: format!("header declares {declared} records, file holds {i}"),
+        });
+    }
+    report.records_valid = sessions.len() as u64;
+    let indexed = at_slots && report.is_clean();
+    Ok(LoadOutcome { sessions, report, indexed })
 }
 
-/// Parses and CRC-verifies the header and offset index of `raw`, filling
-/// in the report's version, fingerprint and declared count. `None` when
-/// the header is unusable, reported as [`DamageKind::HeaderMismatch`]. A
-/// damaged offset index is reported as [`DamageKind::CorruptIndex`] but
-/// still yields the header: the records are recovered by sequential scan.
-fn parse_header(raw: &[u8], report: &mut SalvageReport) -> Option<Header> {
-    let mismatch =
-        |detail: String| RecordDamage { index: 0, kind: DamageKind::HeaderMismatch, detail };
-    if raw.len() < 8 {
-        report.damage.push(mismatch(format!("file too short for magic ({} bytes)", raw.len())));
-        return None;
+/// Reads and CRC-verifies the header and offset index, filling in the
+/// report's version, fingerprint and declared count, and returns the
+/// index slots. `None` when the header is unusable, reported as
+/// [`DamageKind::HeaderMismatch`]. A damaged offset index is reported as
+/// [`DamageKind::CorruptIndex`] but the walk goes on: the CRC-protected
+/// count still fixes where the body starts.
+fn read_header(
+    src: &mut Source<impl Read>,
+    report: &mut SalvageReport,
+) -> io::Result<Option<Vec<u8>>> {
+    let len = src.len;
+    let mut head = [0u8; HEADER_LEN];
+    if !src.fill(&mut head[..len.min(HEADER_LEN as u64) as usize])? {
+        return header_mismatch(report, SHRANK.into());
     }
-    if raw[..8] != MAGIC_V3 {
-        report.damage.push(mismatch("magic mismatch".into()));
-        return None;
+    if len < 8 {
+        return header_mismatch(report, format!("file too short for magic ({len} bytes)"));
+    }
+    if head[..8] != MAGIC_V3 {
+        return header_mismatch(report, "magic mismatch".into());
     }
     report.version = 3;
-    if raw.len() < HEADER_LEN {
-        report.damage.push(mismatch(format!("file too short for v3 header ({} bytes)", raw.len())));
-        return None;
+    if len < HEADER_LEN as u64 {
+        return header_mismatch(report, format!("file too short for v3 header ({len} bytes)"));
     }
-    let stored = read_u32_at(raw, 24);
-    let actual = crc32(&raw[..24]);
+    let stored = read_u32_at(&head, 24);
+    let actual = crc32(&head[..24]);
     if stored != actual {
-        report.damage.push(mismatch(format!(
-            "header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
-        )));
-        return None;
+        return header_mismatch(
+            report,
+            format!("header CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"),
+        );
     }
-    report.fingerprint = read_u64_at(raw, 8);
-    report.records_declared = read_u64_at(raw, 16);
-    // The CRC-protected count fixes where the body starts even when the
-    // index bytes themselves are damaged.
-    let Some(body_start) = body_start(report.records_declared, raw.len()) else {
-        report.damage.push(mismatch(format!(
-            "file too short for {}-entry offset index ({} bytes)",
-            report.records_declared,
-            raw.len()
-        )));
-        return None;
+    report.fingerprint = read_u64_at(&head, 8);
+    report.records_declared = read_u64_at(&head, 16);
+    let Some(index_len) = index_len(report.records_declared, len) else {
+        let detail = format!(
+            "file too short for {}-entry offset index ({len} bytes)",
+            report.records_declared
+        );
+        return header_mismatch(report, detail);
     };
-    let index_end = body_start - INDEX_CRC_LEN;
-    let stored_idx = read_u32_at(raw, index_end);
-    let actual_idx = crc32(&raw[HEADER_LEN..index_end]);
+    let mut index = vec![0u8; index_len + INDEX_CRC_LEN];
+    if !src.fill(&mut index)? {
+        return header_mismatch(report, SHRANK.into());
+    }
+    let stored_idx = read_u32_at(&index, index_len);
+    index.truncate(index_len);
+    let actual_idx = crc32(&index);
     if stored_idx != actual_idx {
         report.damage.push(RecordDamage {
             index: 0,
@@ -391,93 +461,24 @@ fn parse_header(raw: &[u8], report: &mut SalvageReport) -> Option<Header> {
             ),
         });
     }
-    Some(Header { declared: report.records_declared, body_start })
+    Ok(Some(index))
 }
 
-/// Body offset of a container with `declared` records, or `None` when
-/// the file cannot hold that index (overflow or truncation inside it).
-fn body_start(declared: u64, file_len: usize) -> Option<usize> {
-    let index_bytes = usize::try_from(declared).ok()?.checked_mul(8)?;
-    let body_start = HEADER_LEN.checked_add(index_bytes)?.checked_add(INDEX_CRC_LEN)?;
-    (body_start <= file_len).then_some(body_start)
+fn header_mismatch(report: &mut SalvageReport, detail: String) -> io::Result<Option<Vec<u8>>> {
+    report.damage.push(RecordDamage { index: 0, kind: DamageKind::HeaderMismatch, detail });
+    Ok(None)
 }
 
-/// Walks the record frames from `body_start`, decoding every record that
-/// verifies and classifying the rest. Reading continues past a corrupt
-/// record (its frame still delimits it) and stops only at a torn tail,
-/// where the frame itself can no longer be trusted.
-fn salvage_records(raw: &[u8], header: Header, report: &mut SalvageReport) -> Vec<RawTrip> {
-    let mut sessions = Vec::with_capacity(header.declared.min(1 << 20) as usize);
-    let mut offset = header.body_start;
-    let mut index: u64 = 0;
-    let mut torn: Option<String> = None;
-    while offset < raw.len() {
-        let remaining = raw.len() - offset;
-        if remaining < FRAME_LEN {
-            torn = Some(format!("{remaining} bytes left, record frame needs {FRAME_LEN}"));
-            break;
-        }
-        let len = read_u64_at(raw, offset);
-        let payload_at = offset + FRAME_LEN;
-        let Some(end) = payload_end(payload_at, len, raw.len()) else {
-            torn = Some(format!(
-                "record claims {len} bytes, only {} remain",
-                raw.len() - payload_at
-            ));
-            break;
-        };
-        let payload = &raw[payload_at..end];
-        let stored = read_u32_at(raw, offset + 8);
-        let actual = crc32(payload);
-        if stored != actual {
-            report.damage.push(RecordDamage {
-                index,
-                kind: DamageKind::CorruptRecord,
-                detail: format!(
-                    "payload CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
-                ),
-            });
-            offset = end;
-            index += 1;
-            continue;
-        }
-        let mut rest = payload;
-        match decode_session(&mut rest) {
-            Ok(s) if rest.is_empty() => sessions.push(s),
-            Ok(_) => report.damage.push(RecordDamage {
-                index,
-                kind: DamageKind::CorruptRecord,
-                detail: format!("{} undecoded payload bytes", rest.len()),
-            }),
-            Err(e) => report.damage.push(RecordDamage {
-                index,
-                kind: DamageKind::CorruptRecord,
-                detail: format!("payload does not decode: {e}"),
-            }),
-        }
-        offset = end;
-        index += 1;
+/// Byte length of the offset index of a container with `declared`
+/// records, or `None` when a file of `len` bytes cannot hold it
+/// (overflow or truncation inside it).
+fn index_len(declared: u64, len: u64) -> Option<usize> {
+    let bytes = declared.checked_mul(8)?;
+    let body_start = bytes.checked_add((HEADER_LEN + INDEX_CRC_LEN) as u64)?;
+    if body_start > len {
+        return None;
     }
-    if let Some(detail) = torn {
-        push_torn_tail(report, index, header.declared, &detail);
-    } else if index < header.declared {
-        // The file ends cleanly on a record boundary but short of the
-        // declared count — a truncation that happened to land between
-        // records is still a torn tail.
-        push_torn_tail(report, index, header.declared, "file ends before declared count");
-    } else if index > header.declared {
-        // The CRC-protected header disagrees with the body, which gained
-        // whole records (e.g. a duplicated record).
-        report.damage.push(RecordDamage {
-            index,
-            kind: DamageKind::HeaderMismatch,
-            detail: format!(
-                "header declares {} records, file holds {index}",
-                header.declared
-            ),
-        });
-    }
-    sessions
+    usize::try_from(bytes).ok()
 }
 
 /// Reports every record from `index` to the declared end as lost (capped
@@ -512,15 +513,6 @@ fn read_u64_at(raw: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&raw[at..at + 8]);
     u64::from_le_bytes(b)
-}
-
-/// End offset of a payload of `len` bytes starting at `payload_at`, or
-/// `None` when the declared length overruns the file (so a corrupt length
-/// can never trigger an allocation beyond the file size).
-fn payload_end(payload_at: usize, len: u64, file_len: usize) -> Option<usize> {
-    let len = usize::try_from(len).ok()?;
-    let end = payload_at.checked_add(len)?;
-    (end <= file_len).then_some(end)
 }
 
 fn checked_u64(n: usize, what: &str) -> Result<u64, StoreError> {
@@ -893,7 +885,7 @@ mod tests {
         raw[span.payload_start + point_tag] = 2;
         let crc = crc32(&raw[span.payload_start..span.end]);
         raw[span.payload_start - 4..span.payload_start].copy_from_slice(&crc.to_le_bytes());
-        let salvage = salvage_bytes(&raw);
+        let salvage = salvage_bytes(&raw).unwrap();
         assert_eq!(salvage.report.records_valid, 1);
         assert_eq!(salvage.report.damage.len(), 1);
         assert_eq!(salvage.report.damage[0].index, 1);
@@ -924,19 +916,117 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The clean image of `sample_sessions(6)` and each damage case the
+    /// suite builds: bit flip, torn tail, corrupt index, duplicated record
+    /// and garbage header.
+    fn clean_and_damaged_images() -> Vec<(&'static str, Vec<u8>)> {
+        let path = tmp_path("cases.tts");
+        save_sessions_tagged(&path, &sample_sessions(6), 0xCAFE).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let spans = record_spans(&clean).unwrap();
+        let mut flip = clean.clone();
+        flip[(spans[3].payload_start + spans[3].end) / 2] ^= 0x10;
+        let torn = clean[..spans[4].payload_start + 3].to_vec();
+        let mut bad_index = clean.clone();
+        bad_index[HEADER_LEN + 2] ^= 0x40;
+        let mut dup = clean[..spans[1].end].to_vec();
+        dup.extend_from_slice(&clean[spans[1].frame_start..]);
+        let mut garbage = clean.clone();
+        garbage[0] = b'X';
+        vec![
+            ("clean", clean),
+            ("bit flip", flip),
+            ("torn tail", torn),
+            ("corrupt index", bad_index),
+            ("duplicated record", dup),
+            ("garbage header", garbage),
+        ]
+    }
+
     #[test]
-    fn indexed_load_matches_scan() {
-        let path = tmp_path("indexed.tts");
-        let sessions = sample_sessions(9);
-        save_sessions_tagged(&path, &sessions, 0xCAFE).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        let indexed = load_bytes(&raw, &LoadOptions::strict()).unwrap();
-        assert!(indexed.indexed);
-        assert_eq!(indexed.report.fingerprint, 0xCAFE);
-        assert_eq!(indexed.sessions, sessions);
-        let scanned = salvage_bytes(&raw);
-        assert!(scanned.report.is_clean());
-        assert_eq!(indexed.sessions, scanned.sessions);
+    fn streamed_load_equals_image_load() {
+        let path = tmp_path("streamed.tts");
+        for (case, image) in clean_and_damaged_images() {
+            std::fs::write(&path, &image).unwrap();
+            let image = std::fs::read(&path).unwrap();
+            let streamed = load(&path, &LoadOptions::salvage()).unwrap();
+            let whole = load_bytes(&image, &LoadOptions::salvage()).unwrap();
+            assert_eq!(streamed.sessions, whole.sessions, "{case}");
+            assert_eq!(streamed.report, whole.report, "{case}");
+            assert_eq!(streamed.indexed, whole.indexed, "{case}");
+            assert_eq!(streamed.indexed, case == "clean", "{case}");
+            assert_eq!(streamed.report.is_clean(), case == "clean", "{case}");
+            let strict = |out: Result<LoadOutcome, StoreError>| {
+                out.map(|o| o.sessions).map_err(|e| e.to_string())
+            };
+            assert_eq!(
+                strict(load(&path, &LoadOptions::strict())),
+                strict(load_bytes(&image, &LoadOptions::strict())),
+                "{case}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_source_that_ends_early_is_a_torn_tail() {
+        let image = &clean_and_damaged_images()[0].1;
+        let spans = record_spans(image).unwrap();
+        let len = image.len() as u64;
+        // Inside record 2's payload: records 2.. are lost.
+        let out = walk(&image[..spans[2].payload_start + 5], len).unwrap();
+        assert_eq!(out.sessions, sample_sessions(2));
+        assert!(!out.indexed);
+        assert_eq!(out.report.damage.len(), 4);
+        assert!(out.report.damage.iter().all(|d| d.kind == DamageKind::TornTail));
+        assert_eq!(out.report.damage[0].index, 2);
+        assert_eq!(out.report.damage[0].detail, format!("torn tail: {SHRANK}"));
+        // Inside a frame, and inside the header or offset index.
+        let out = walk(&image[..spans[1].frame_start + 4], len).unwrap();
+        assert_eq!((out.sessions.len(), out.report.damage[0].index), (1, 1));
+        for cut in [4, HEADER_LEN + 3] {
+            let out = walk(&image[..cut], len).unwrap();
+            assert!(out.sessions.is_empty());
+            assert_eq!(out.report.damage.len(), 1);
+            assert_eq!(out.report.damage[0].kind, DamageKind::HeaderMismatch);
+            assert_eq!(out.report.damage[0].detail, SHRANK);
+        }
+    }
+
+    #[test]
+    fn frame_length_past_eof_is_a_torn_tail() {
+        let path = tmp_path("huge-frame.tts");
+        let mut image = clean_and_damaged_images().swap_remove(0).1;
+        let spans = record_spans(&image).unwrap();
+        // Record 1 claims half the address space: no allocation of that
+        // size, no panic, just a torn tail from record 1 on.
+        let at = spans[1].frame_start;
+        image[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        std::fs::write(&path, &image).unwrap();
+        let out = load(&path, &LoadOptions::salvage()).unwrap();
+        assert_eq!(out.sessions, sample_sessions(1));
+        assert_eq!(out.report.damage.len(), 5);
+        assert!(out.report.damage.iter().all(|d| d.kind == DamageKind::TornTail));
+        assert_eq!(out.report.damage[0].index, 1);
+        assert!(out.report.damage[0].detail.contains(&format!("claims {}", u64::MAX / 2)));
+        assert!(load(&path, &LoadOptions::strict()).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_write_failing_mid_stream_leaves_the_previous_file() {
+        let path = tmp_path("mid-stream.tts");
+        save_sessions(&path, &sample_sessions(3)).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // The second session fails to encode after the first record has
+        // been streamed into the `.tmp` sibling.
+        let mut sessions = sample_sessions(3);
+        sessions[1].points[4].fuel_ml = f64::NAN;
+        let err = save_sessions(&path, &sessions).unwrap_err();
+        assert!(err.to_string().contains("non-finite fuel_ml"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert!(!path.with_extension("tmp").exists());
         std::fs::remove_file(&path).ok();
     }
 
@@ -948,10 +1038,10 @@ mod tests {
         let mut raw = std::fs::read(&path).unwrap();
         // Flip a bit inside the offset index (first entry).
         raw[HEADER_LEN + 2] ^= 0x40;
-        // Fast path refuses...
-        assert!(indexed_load_bytes(&raw).is_none());
-        // ...but the sequential scan recovers everything, flagging the index.
-        let salvage = salvage_bytes(&raw);
+        // The walk recovers everything, flagging the index and not
+        // reporting the read as indexed.
+        let salvage = salvage_bytes(&raw).unwrap();
+        assert!(!salvage.indexed);
         assert_eq!(salvage.report.version, 3);
         assert_eq!(salvage.report.records_valid, 5);
         assert_eq!(salvage.sessions, sessions);
@@ -1035,7 +1125,7 @@ mod tests {
         // Flip one bit in the middle of record 3's payload.
         let mid = (spans[3].payload_start + spans[3].end) / 2;
         raw[mid] ^= 0x10;
-        let salvage = salvage_bytes(&raw);
+        let salvage = salvage_bytes(&raw).unwrap();
         assert_eq!(salvage.report.records_valid, 7);
         assert_eq!(salvage.report.damage.len(), 1);
         assert_eq!(salvage.report.damage[0].index, 3);
@@ -1054,7 +1144,7 @@ mod tests {
         let spans = record_spans(&raw).unwrap();
         // Chop mid-way through the final record's payload.
         let cut = spans[4].payload_start + (spans[4].end - spans[4].payload_start) / 2;
-        let salvage = salvage_bytes(&raw[..cut]);
+        let salvage = salvage_bytes(&raw[..cut]).unwrap();
         assert_eq!(salvage.report.records_valid, 4);
         assert_eq!(salvage.report.damage.len(), 1);
         assert_eq!(salvage.report.damage[0].index, 4);
@@ -1077,7 +1167,7 @@ mod tests {
         let spans = record_spans(&raw).unwrap();
         // Chop inside record 2: records 2..6 are lost, 4 damage entries.
         let cut = spans[2].payload_start + 3;
-        let salvage = salvage_bytes(&raw[..cut]);
+        let salvage = salvage_bytes(&raw[..cut]).unwrap();
         assert_eq!(salvage.report.records_valid, 2);
         assert_eq!(salvage.report.damage.len(), 4);
         for (i, d) in salvage.report.damage.iter().enumerate() {
@@ -1093,7 +1183,7 @@ mod tests {
         save_sessions(&path, &sample_sessions(3)).unwrap();
         let mut raw = std::fs::read(&path).unwrap();
         raw[0] = b'X';
-        let salvage = salvage_bytes(&raw);
+        let salvage = salvage_bytes(&raw).unwrap();
         assert_eq!(salvage.report.records_valid, 0);
         assert_eq!(salvage.report.damage.len(), 1);
         assert_eq!(salvage.report.damage[0].kind, DamageKind::HeaderMismatch);
@@ -1101,7 +1191,7 @@ mod tests {
         // header CRC rather than being trusted.
         let mut raw2 = std::fs::read(&path).unwrap();
         raw2[16] ^= 0x01;
-        let salvage2 = salvage_bytes(&raw2);
+        let salvage2 = salvage_bytes(&raw2).unwrap();
         assert_eq!(salvage2.report.damage[0].kind, DamageKind::HeaderMismatch);
         assert!(salvage2.report.damage[0].detail.contains("header CRC"));
         // The retired v1 and v2 magics (nothing writes them) are unknown
@@ -1109,7 +1199,7 @@ mod tests {
         for magic in [b"TTRS\x00\x00\x00\x01", b"TTRS\x00\x00\x00\x02"] {
             let mut old = std::fs::read(&path).unwrap();
             old[..8].copy_from_slice(magic);
-            let salvage3 = salvage_bytes(&old);
+            let salvage3 = salvage_bytes(&old).unwrap();
             assert_eq!((salvage3.report.version, salvage3.report.records_valid), (0, 0));
             assert_eq!(salvage3.report.damage.len(), 1);
             assert_eq!(salvage3.report.damage[0].kind, DamageKind::HeaderMismatch);
@@ -1129,7 +1219,7 @@ mod tests {
         let mut dup = raw[..spans[1].end].to_vec();
         dup.extend_from_slice(&raw[spans[1].frame_start..spans[1].end]);
         dup.extend_from_slice(&raw[spans[1].end..]);
-        let salvage = salvage_bytes(&dup);
+        let salvage = salvage_bytes(&dup).unwrap();
         // All four physical records decode; the count disagreement is
         // reported as header damage.
         assert_eq!(salvage.report.records_valid, 4);

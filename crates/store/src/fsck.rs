@@ -14,10 +14,11 @@
 //!   repair — resume treats the missing file as "stage not done".
 
 use std::collections::BTreeSet;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{salvage_bytes, save_sessions_tagged, DamageKind, RecordDamage};
-use crate::{load_checkpoint, StoreError};
+use crate::codec::{load, save_sessions_tagged, DamageKind, RecordDamage};
+use crate::{load_checkpoint, LoadOptions, StoreError};
 
 /// Which container family a scanned file belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +127,8 @@ fn walk(path: &Path, repair: bool, out: &mut Vec<FsckReport>) -> Result<(), Stor
 
 /// Decides whether `path` is a container worth scanning: extension
 /// first (so a garbage-headered store is still reported, not skipped),
-/// then magic sniffing for unconventional names.
+/// then magic sniffing (of the first 8 bytes only) for unconventional
+/// names.
 fn sniff(path: &Path) -> Result<Option<FileKind>, StoreError> {
     match path.extension().and_then(|e| e.to_str()) {
         Some("tts") | Some("ttrs") => return Ok(Some(FileKind::Store)),
@@ -134,8 +136,9 @@ fn sniff(path: &Path) -> Result<Option<FileKind>, StoreError> {
         Some("tmp") => return Ok(None),
         _ => {}
     }
-    let raw = std::fs::read(path)?;
-    Ok(match raw.get(..4) {
+    let mut head = Vec::with_capacity(8);
+    std::fs::File::open(path)?.take(8).read_to_end(&mut head)?;
+    Ok(match head.get(..4) {
         Some(b"TTRS") => Some(FileKind::Store),
         Some(b"TTCK") => Some(FileKind::Checkpoint),
         _ => None,
@@ -143,8 +146,7 @@ fn sniff(path: &Path) -> Result<Option<FileKind>, StoreError> {
 }
 
 fn fsck_store(path: &Path, repair: bool) -> Result<FsckReport, StoreError> {
-    let raw = std::fs::read(path)?;
-    let salvage = salvage_bytes(&raw);
+    let salvage = load(path, &LoadOptions::salvage())?;
     let mut report = FsckReport {
         path: path.to_path_buf(),
         kind: FileKind::Store,
@@ -394,6 +396,23 @@ mod tests {
         let reports = fsck_path(&dir, false).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].kind, FileKind::Store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn extensionless_names_are_sniffed_by_their_magic() {
+        let dir = tmp_dir("noext");
+        save_sessions(&dir.join("trips"), &[session(1), session(2)]).unwrap();
+        crate::save_checkpoint(&dir.join("resume"), 4, &[("s", b"x")]).unwrap();
+        std::fs::write(dir.join("README"), b"TTR, but not a container").unwrap();
+        std::fs::write(dir.join("empty"), b"").unwrap();
+        let reports = fsck_path(&dir, false).unwrap();
+        let found: Vec<_> = reports
+            .iter()
+            .map(|r| (r.path.file_name().unwrap().to_str().unwrap(), r.kind, r.records_valid))
+            .collect();
+        assert_eq!(found, [("resume", FileKind::Checkpoint, 1), ("trips", FileKind::Store, 2)]);
+        assert!(reports.iter().all(|r| r.is_clean()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

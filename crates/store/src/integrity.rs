@@ -1,19 +1,19 @@
 //! Byte-level integrity primitives shared by every on-disk container:
 //! a dependency-free CRC-32 and an atomic publish-by-rename writer.
 //!
-//! The v2 container formats ([`crate::codec`], [`crate::checkpoint`])
+//! The container formats ([`crate::codec`], [`crate::checkpoint`])
 //! frame every record with a length and a CRC-32 of its payload, the
 //! standard durability recipe of write-ahead logs and log-structured
 //! stores: a flipped bit fails the record's checksum instead of
 //! producing silently wrong decodes, and a torn tail fails the length
 //! check instead of reading garbage. Checksums make damage *detectable*;
-//! [`write_atomic`] makes fresh damage *unlikely* — data reaches the
+//! [`write_atomic_with`] makes fresh damage *unlikely* — data reaches the
 //! final name only after a full write, an fsync, and a rename, so a
 //! mid-write kill leaves the previous file (or none), never half of the
 //! new one.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected — the same parametrisation
@@ -86,19 +86,36 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// Writes `bytes` to `path` atomically: the data goes to a `.tmp`
-/// sibling, is flushed *and fsynced*, and only then renamed over the
-/// final name. A kill at any instant leaves either the previous file or
-/// no file under `path` — never a torn one. Every store/checkpoint
-/// writer in this crate publishes through here.
+/// Writes `bytes` to `path` atomically; see [`write_atomic_with`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_atomic_with(path, |out| out.write_all(bytes))
+}
+
+/// Capacity of the buffered writer [`write_atomic_with`] hands out.
+const WRITE_BUF: usize = 64 * 1024;
+
+/// Streams a file to `path` atomically: `write` fills a buffered `.tmp`
+/// sibling (it may seek back to patch what it wrote), which is flushed
+/// *and fsynced*, and only then renamed over the final name. A kill at
+/// any instant leaves either the previous file or no file under `path`
+/// — never a torn one — and a `write` that fails removes the `.tmp`, so
+/// the previous file stays as it was. Every store/checkpoint writer in
+/// this crate publishes through here.
+pub fn write_atomic_with<E: From<io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> Result<(), E>,
+) -> Result<(), E> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
+    let publish = || -> Result<(), E> {
+        let mut out = BufWriter::with_capacity(WRITE_BUF, fs::File::create(&tmp)?);
+        write(&mut out)?;
+        out.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
+        Ok(fs::rename(&tmp, path)?)
+    };
+    if let Err(e) = publish() {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
     }
-    fs::rename(&tmp, path)?;
     // Best-effort directory fsync so the rename itself is durable; not
     // all platforms/filesystems support syncing a directory handle.
     if let Some(dir) = path.parent() {

@@ -6,9 +6,10 @@
 //! and one session by trip id — so this crate provides exactly those:
 //!
 //! * [`TripStore`] — the sessions in insertion order plus a trip-id map;
-//! * [`codec`] — the checksummed v3 container with an offset index for
-//!   seek/zero-copy reads, so a simulated year can be generated once and
-//!   re-analysed many times, with torn-write salvage instead of abort;
+//! * [`codec`] — the checksummed v3 container with a verified offset
+//!   index, read and written one record at a time, so a simulated year
+//!   can be generated once and re-analysed many times, with torn-write
+//!   salvage instead of abort;
 //! * [`checkpoint`] — a named-section container with a config fingerprint
 //!   and atomic rename publication, backing stage checkpoint/resume;
 //! * [`integrity`] — the dependency-free CRC-32 and the temp-file+fsync+
@@ -25,6 +26,6 @@ pub mod integrity;
 mod store;
 
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointFile, CHECKPOINT_MAGIC_V2};
-pub use codec::{DamageKind, LoadOptions, LoadOutcome, RecordDamage, Salvage, SalvageReport};
+pub use codec::{DamageKind, LoadOptions, LoadOutcome, RecordDamage, SalvageReport};
 pub use fsck::{fsck_path, FileKind, FsckReport};
 pub use store::{StoreError, TripStore};

@@ -3,8 +3,9 @@
 //! The properties: an *arbitrary* session population — empty trips,
 //! extreme-but-finite coordinates, hostile strings — survives
 //! encode → decode bit-identically through the v3 container, writing the
-//! same population twice produces the same bytes, and the v3 offset-index
-//! fast path returns exactly what the sequential scan returns. Sessions
+//! same population twice produces the same bytes, and a file read through
+//! its buffered walk returns exactly what the walk over its whole image
+//! returns. Sessions
 //! carrying non-finite floats are rejected at encode time with a typed
 //! error instead of poisoning a file.
 //!
@@ -164,21 +165,22 @@ proptest! {
     }
 
     #[test]
-    fn indexed_seek_equals_sequential_scan(seed in 0u64..u64::MAX, fp in 0u64..u64::MAX) {
+    fn streamed_load_equals_image_load(seed in 0u64..u64::MAX, fp in 0u64..u64::MAX) {
         let sessions = gen_sessions(seed);
-        let path = scratch_file("v3-seek");
+        let path = scratch_file("v3-stream");
         save_sessions_tagged(&path, &sessions, fp).expect("save v3");
         let raw = std::fs::read(&path).expect("read");
 
-        let salvage = salvage_bytes(&raw);
-        prop_assert!(salvage.report.is_clean());
-
-        // Whole-file fast path agrees with the sequential scan.
-        let indexed = load_bytes(&raw, &LoadOptions::strict()).expect("indexed load");
-        prop_assert!(indexed.indexed, "a v3 file must take the fast path");
-        prop_assert_eq!(indexed.report.fingerprint, fp);
-        prop_assert_eq!(&indexed.sessions, &salvage.sessions);
-        prop_assert_eq!(&indexed.sessions, &sessions);
+        // The file walked through its read buffer agrees with the same
+        // walk over the whole image, and a clean file verifies its index.
+        let streamed = load(&path, &LoadOptions::strict()).expect("streamed load");
+        let image = load_bytes(&raw, &LoadOptions::strict()).expect("image load");
+        prop_assert!(streamed.indexed, "a clean v3 file must verify its index");
+        prop_assert_eq!(streamed.indexed, image.indexed);
+        prop_assert_eq!(&streamed.report, &image.report);
+        prop_assert_eq!(&streamed.sessions, &image.sessions);
+        prop_assert_eq!(&streamed.sessions, &sessions);
+        prop_assert!(salvage_bytes(&raw).expect("slice read").report.is_clean());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -290,7 +292,7 @@ fn damage_fixtures_salvage_exactly() {
 
     // Torn tail: the first two records survive, the lost one is reported
     // as exactly one torn-tail damage entry.
-    let salvage = salvage_bytes(&torn);
+    let salvage = salvage_bytes(&torn).expect("slice read");
     assert_eq!(salvage.sessions.len(), 2);
     assert_eq!(salvage.report.records_valid, 2);
     assert_eq!(salvage.report.records_declared, 3);
@@ -300,7 +302,7 @@ fn damage_fixtures_salvage_exactly() {
     assert_eq!(&salvage.sessions[..], &fixture_sessions()[..2]);
 
     // Bit flip: record 1 fails its CRC, records 0 and 2 survive intact.
-    let salvage = salvage_bytes(&flipped);
+    let salvage = salvage_bytes(&flipped).expect("slice read");
     assert_eq!(salvage.sessions.len(), 2);
     assert_eq!(salvage.report.records_valid, 2);
     assert_eq!(salvage.report.damage.len(), 1);

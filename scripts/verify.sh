@@ -11,6 +11,10 @@ cargo test -q --workspace
 # included.
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+# Rustdoc must build warning-free: a broken intra-doc link, or a public
+# doc linking to a private item, fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
+
 # Build what the test run does not: the criterion benches, and the
 # repository benchmark (its own workspace, built against these crates by
 # path with its lock file as committed), plus the benchmark's own tests.

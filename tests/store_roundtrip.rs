@@ -64,6 +64,21 @@ fn quick_study_store_image_is_pinned() {
     assert_eq!(fnv1a(&image), 0xFC52_8C4A_C241_C94A, "store image FNV-1a hash");
 }
 
+/// The `simulate.ttck` checkpoint `StudyConfig::quick(7)` writes, pinned
+/// byte for byte: the section layout (names, lengths, CRCs) and the
+/// sessions payload. Resume decodes this image, so a checkpoint-writer
+/// change must leave it unchanged.
+#[test]
+fn quick_study_checkpoint_image_is_pinned() {
+    let dir = tmp_path("quick7_checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    Study::new(StudyConfig::quick(7)).run_with_checkpoints(&dir).expect("checkpointed run");
+    let image = std::fs::read(dir.join("simulate.ttck")).expect("read checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(image.len(), 3_017_369, "checkpoint image length");
+    assert_eq!(fnv1a(&image), 0x2B72_BBF2_CF22_778E, "checkpoint image FNV-1a hash");
+}
+
 trait RuleFires {
     fn rule_fires_total(&self) -> usize;
 }
