@@ -24,10 +24,10 @@
 //! * **stuck sensor** — a long run frozen at one position while the unit
 //!   keeps reporting driving speeds.
 
-use serde::{Deserialize, Serialize};
-use taxitrace_traces::RoutePoint;
+use std::ops::Range;
 
-use crate::pipeline::CleanedSession;
+use serde::{Deserialize, Serialize};
+use taxitrace_traces::{RoutePoint, TraceColumns};
 
 /// The §IV-B error class a cleaned session was quarantined for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -98,24 +98,75 @@ impl Default for AnomalyConfig {
     }
 }
 
-/// Scans a cleaned session's kept segments for the first invariant
-/// violation, in deterministic order (segments in order; within a
-/// segment, pair checks before run checks). Returns the error class and a
-/// human-readable detail, or `None` for a plausible session.
-pub fn session_anomaly(
-    session: &CleanedSession,
+/// Scans a session's kept segments, given as ranges of its columns, for
+/// the first invariant violation in deterministic order (segments in
+/// order; within a segment, pair checks before run checks). Returns the
+/// error class and a human-readable detail, or `None` for a plausible
+/// session.
+pub(crate) fn kept_anomaly(
+    cols: &TraceColumns,
+    kept: &[Range<usize>],
     config: &AnomalyConfig,
 ) -> Option<(AnomalyKind, String)> {
-    for (i, segment) in session.segments.iter().enumerate() {
-        if let Some(found) = segment_anomaly(&segment.points, config) {
-            let (kind, detail) = found;
-            return Some((kind, format!("segment {i}: {detail}")));
+    kept.iter().enumerate().find_map(|(i, range)| {
+        let (kind, detail) = range_anomaly(cols, range.clone(), config)?;
+        Some((kind, format!("segment {i}: {detail}")))
+    })
+}
+
+/// The checks of [`segment_anomaly`] on the rows `range` of a session's
+/// columns. Consecutive distances come from the step column, which holds
+/// the same bits `Point::distance` computes.
+fn range_anomaly(
+    cols: &TraceColumns,
+    range: Range<usize>,
+    config: &AnomalyConfig,
+) -> Option<(AnomalyKind, String)> {
+    for i in range.start..range.end.saturating_sub(1) {
+        let dist_m = cols.step_m[i];
+        let dt_s = cols.dt_s(i, i + 1);
+        if let Some(found) = pair_anomaly(dist_m, dt_s, config) {
+            return Some(found);
         }
+    }
+
+    // Run scans: maximal runs of equal timestamps / frozen positions.
+    let mut start = range.start;
+    while start < range.end {
+        let mut end = start + 1;
+        while end < range.end && cols.t_secs[end] == cols.t_secs[start] {
+            end += 1;
+        }
+        if end - start >= config.skew_run {
+            let travel: f64 = cols.step_m[start..end - 1].iter().sum();
+            if let Some(found) = skew_anomaly(end - start, travel, config) {
+                return Some(found);
+            }
+        }
+        start = end;
+    }
+
+    let mut start = range.start;
+    while start < range.end {
+        let mut end = start + 1;
+        while end < range.end && cols.dist_from(start, end) <= config.stuck_radius_m {
+            end += 1;
+        }
+        if end - start >= config.stuck_run {
+            let speed_sum: f64 = cols.speed_kmh[start..end].iter().sum();
+            if let Some(found) = stuck_anomaly(end - start, speed_sum, config) {
+                return Some(found);
+            }
+        }
+        start = end;
     }
     None
 }
 
-/// [`session_anomaly`] on one segment's point sequence.
+/// The post-cleaning checks on one segment's point sequence: the
+/// point-slice reference the columnar scan of [`clean_checked`] must equal.
+///
+/// [`clean_checked`]: crate::clean_checked
 pub fn segment_anomaly(
     points: &[RoutePoint],
     config: &AnomalyConfig,
@@ -123,22 +174,8 @@ pub fn segment_anomaly(
     for w in points.windows(2) {
         let dist_m = w[0].pos.distance(w[1].pos);
         let dt_s = (w[1].timestamp - w[0].timestamp).secs();
-        if dist_m >= config.min_jump_m {
-            // dt == 0 after clamping means infinite implied speed.
-            let implied_kmh =
-                if dt_s <= 0 { f64::INFINITY } else { dist_m / dt_s as f64 * 3.6 };
-            if implied_kmh > config.max_implied_speed_kmh {
-                return Some((
-                    AnomalyKind::PositionJump,
-                    format!("{dist_m:.0} m in {dt_s} s (implied {implied_kmh:.0} km/h)"),
-                ));
-            }
-        }
-        if dt_s > config.max_gap_s && dist_m >= config.dropout_min_travel_m {
-            return Some((
-                AnomalyKind::Dropout,
-                format!("{dt_s} s silent while moving {dist_m:.0} m"),
-            ));
+        if let Some(found) = pair_anomaly(dist_m, dt_s, config) {
+            return Some(found);
         }
     }
 
@@ -152,14 +189,8 @@ pub fn segment_anomaly(
         let run = &points[start..end];
         if run.len() >= config.skew_run {
             let travel: f64 = run.windows(2).map(|w| w[0].pos.distance(w[1].pos)).sum();
-            if travel >= config.skew_min_travel_m {
-                return Some((
-                    AnomalyKind::ClockSkew,
-                    format!(
-                        "{} points share one timestamp across {travel:.0} m",
-                        run.len()
-                    ),
-                ));
+            if let Some(found) = skew_anomaly(run.len(), travel, config) {
+                return Some(found);
             }
         }
         start = end;
@@ -175,21 +206,55 @@ pub fn segment_anomaly(
         }
         let run = &points[start..end];
         if run.len() >= config.stuck_run {
-            let mean_speed =
-                run.iter().map(|p| p.speed_kmh).sum::<f64>() / run.len() as f64;
-            if mean_speed > config.stuck_min_speed_kmh {
-                return Some((
-                    AnomalyKind::StuckSensor,
-                    format!(
-                        "{} points frozen in place at mean {mean_speed:.0} km/h",
-                        run.len()
-                    ),
-                ));
+            let speed_sum = run.iter().map(|p| p.speed_kmh).sum::<f64>();
+            if let Some(found) = stuck_anomaly(run.len(), speed_sum, config) {
+                return Some(found);
             }
         }
         start = end;
     }
     None
+}
+
+/// The position-jump and dropout verdicts on one consecutive pair.
+fn pair_anomaly(dist_m: f64, dt_s: i64, config: &AnomalyConfig) -> Option<(AnomalyKind, String)> {
+    if dist_m >= config.min_jump_m {
+        // dt == 0 after clamping means infinite implied speed.
+        let implied_kmh = if dt_s <= 0 { f64::INFINITY } else { dist_m / dt_s as f64 * 3.6 };
+        if implied_kmh > config.max_implied_speed_kmh {
+            return Some((
+                AnomalyKind::PositionJump,
+                format!("{dist_m:.0} m in {dt_s} s (implied {implied_kmh:.0} km/h)"),
+            ));
+        }
+    }
+    if dt_s > config.max_gap_s && dist_m >= config.dropout_min_travel_m {
+        return Some((
+            AnomalyKind::Dropout,
+            format!("{dt_s} s silent while moving {dist_m:.0} m"),
+        ));
+    }
+    None
+}
+
+/// The clock-skew verdict on a run of `len` points sharing one timestamp
+/// across `travel` metres.
+fn skew_anomaly(len: usize, travel: f64, config: &AnomalyConfig) -> Option<(AnomalyKind, String)> {
+    (travel >= config.skew_min_travel_m).then(|| {
+        (AnomalyKind::ClockSkew, format!("{len} points share one timestamp across {travel:.0} m"))
+    })
+}
+
+/// The stuck-sensor verdict on a run of `len` frozen points whose
+/// reported speeds sum to `speed_sum` km/h.
+fn stuck_anomaly(len: usize, speed_sum: f64, config: &AnomalyConfig) -> Option<(AnomalyKind, String)> {
+    let mean_speed = speed_sum / len as f64;
+    (mean_speed > config.stuck_min_speed_kmh).then(|| {
+        (
+            AnomalyKind::StuckSensor,
+            format!("{len} points frozen in place at mean {mean_speed:.0} km/h"),
+        )
+    })
 }
 
 #[cfg(test)]

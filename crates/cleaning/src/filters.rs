@@ -141,3 +141,71 @@ mod tests {
         assert_eq!(segment_length_m(&[]), 0.0);
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use taxitrace_geo::{GeoPoint, Point};
+    use taxitrace_timebase::Timestamp;
+    use taxitrace_traces::{PointTruth, TaxiId, TripId};
+
+    fn mk(i: usize, x: f64, y: f64) -> RoutePoint {
+        RoutePoint {
+            point_id: i as u64,
+            trip_id: TripId(1),
+            taxi: TaxiId(1),
+            geo: GeoPoint::new(25.0, 65.0),
+            pos: Point::new(x, y),
+            timestamp: Timestamp::from_secs(i as i64 * 10),
+            speed_kmh: 30.0,
+            heading_deg: 90.0,
+            fuel_ml: 0.0,
+            truth: PointTruth { seq: i as u32, element: None },
+        }
+    }
+
+    proptest! {
+        /// The step column holds `Point::distance` of each consecutive
+        /// pair, and `length_m` over any range equals the point-slice
+        /// length, bit for bit: the columnar rules compare the same values
+        /// the point-slice rules did. Below two points both are zero, but
+        /// the slice sum starts at `-0.0` and `length_m` at `0.0`, so those
+        /// ranges compare by value.
+        #[test]
+        fn columns_measure_like_points(
+            moves in proptest::collection::vec((0u8..4, -300f64..300.0, -300f64..300.0), 0..30)
+        ) {
+            let (mut x, mut y) = (1_000.0, -2_000.0);
+            let mut points = Vec::new();
+            for (i, (kind, dx, dy)) in moves.into_iter().enumerate() {
+                match kind {
+                    // A repeated position: a zero-length pair.
+                    0 => {}
+                    1 => x += dx,
+                    _ => {
+                        x += dx;
+                        y += dy;
+                    }
+                }
+                points.push(mk(i, x, y));
+            }
+            let cols = TraceColumns::from_points(&points);
+            prop_assert_eq!(cols.step_m.len(), points.len().saturating_sub(1));
+            for (i, w) in points.windows(2).enumerate() {
+                prop_assert_eq!(cols.step_m[i].to_bits(), w[0].pos.distance(w[1].pos).to_bits());
+            }
+            for a in 0..=points.len() {
+                for b in a..=points.len() {
+                    let columnar = cols.length_m(a..b);
+                    let slice = segment_length_m(&points[a..b]);
+                    if b - a < 2 {
+                        prop_assert!(columnar == 0.0 && slice == 0.0, "{a}..{b}");
+                    } else {
+                        prop_assert_eq!(columnar.to_bits(), slice.to_bits(), "{}..{}", a, b);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -29,14 +29,14 @@ mod pipeline;
 mod segmentation;
 mod totals;
 
-pub use anomaly::{segment_anomaly, session_anomaly, AnomalyConfig, AnomalyKind};
+pub use anomaly::{segment_anomaly, AnomalyConfig, AnomalyKind};
 pub use filters::{FilterConfig, FilterStats};
 pub use interpolate::{
     interpolate_gaps, is_synthetic, InterpolateConfig, InterpolateStats,
 };
 pub use order::{repair_order, ChosenOrder, OrderRepairReport};
 pub use pipeline::{
-    clean_session, validate_segments, CleanedSession, CleaningConfig, CleaningStats,
+    clean_checked, clean_session, validate_segments, CleanedSession, CleaningConfig, CleaningStats,
     SegmentValidation, TripSegment,
 };
 pub use segmentation::{

@@ -1,5 +1,5 @@
 use taxitrace_timebase::Timestamp;
-use taxitrace_traces::RoutePoint;
+use taxitrace_traces::{RoutePoint, TraceColumns};
 
 /// Which candidate ordering the §IV-B repair selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,14 +37,26 @@ pub fn repair_order(points: &[RoutePoint]) -> (Vec<RoutePoint>, OrderRepairRepor
     if let Some(report) = in_order_report(points) {
         return (points.to_vec(), report);
     }
+    let (ordered, report, _) = repair_out_of_order(points);
+    (ordered, report)
+}
+
+/// [`repair_order`] of a session that is not [`in_order`], also returning
+/// the chosen order's columns. The timestamp order's path length is the
+/// sum of its step column, so when that order wins no pair is measured
+/// twice.
+pub(crate) fn repair_out_of_order(
+    points: &[RoutePoint],
+) -> (Vec<RoutePoint>, OrderRepairReport, TraceColumns) {
     let mut by_id: Vec<RoutePoint> = points.to_vec();
     by_id.sort_by_key(|p| p.point_id);
     let mut by_ts: Vec<RoutePoint> = points.to_vec();
     // Stable sort; ties broken by id to stay deterministic.
     by_ts.sort_by_key(|p| (p.timestamp, p.point_id));
 
+    let ts_cols = TraceColumns::from_points(&by_ts);
     let id_len = path_length(&by_id);
-    let ts_len = path_length(&by_ts);
+    let ts_len = ts_cols.step_m.iter().sum();
     let orders_differed = by_id
         .iter()
         .zip(by_ts.iter())
@@ -58,7 +70,8 @@ pub fn repair_order(points: &[RoutePoint]) -> (Vec<RoutePoint>, OrderRepairRepor
         (by_ts, ChosenOrder::ByTimestamp)
     };
 
-    // Align properties: enforce monotonic timestamps.
+    // Align properties: enforce monotonic timestamps. The timestamp order
+    // is already monotonic, so only the id order can change here.
     let mut last = Timestamp::from_secs(i64::MIN);
     for p in &mut chosen_points {
         if p.timestamp < last {
@@ -66,6 +79,10 @@ pub fn repair_order(points: &[RoutePoint]) -> (Vec<RoutePoint>, OrderRepairRepor
         }
         last = p.timestamp;
     }
+    let cols = match chosen {
+        ChosenOrder::ById => TraceColumns::from_points(&chosen_points),
+        ChosenOrder::ByTimestamp => ts_cols,
+    };
 
     (
         chosen_points,
@@ -75,27 +92,32 @@ pub fn repair_order(points: &[RoutePoint]) -> (Vec<RoutePoint>, OrderRepairRepor
             ts_order_length_m: ts_len,
             orders_differed,
         },
+        cols,
     )
 }
 
-/// The repair report of a session that is already in order (see
-/// [`in_order`]), or `None`. Both stable sorts would be the identity, so
-/// both candidate orders are the input itself: the timestamp order wins
-/// the length tie and no timestamp needs clamping.
-pub(crate) fn in_order_report(points: &[RoutePoint]) -> Option<OrderRepairReport> {
-    in_order(points).then(|| {
-        let len = path_length(points);
+impl OrderRepairReport {
+    /// The report of a session that is already in order (see [`in_order`])
+    /// and whose path is `path_length_m` long. Both stable sorts would be
+    /// the identity, so both candidate orders are the input itself: the
+    /// timestamp order wins the length tie and no timestamp needs clamping.
+    pub(crate) fn in_order(path_length_m: f64) -> Self {
         OrderRepairReport {
             chosen: ChosenOrder::ByTimestamp,
-            id_order_length_m: len,
-            ts_order_length_m: len,
+            id_order_length_m: path_length_m,
+            ts_order_length_m: path_length_m,
             orders_differed: false,
         }
-    })
+    }
+}
+
+/// The repair report of a session that is already in order, or `None`.
+fn in_order_report(points: &[RoutePoint]) -> Option<OrderRepairReport> {
+    in_order(points).then(|| OrderRepairReport::in_order(path_length(points)))
 }
 
 /// Whether `point_id` and `(timestamp, point_id)` are both non-decreasing.
-fn in_order(points: &[RoutePoint]) -> bool {
+pub(crate) fn in_order(points: &[RoutePoint]) -> bool {
     points.windows(2).all(|w| {
         w[0].point_id <= w[1].point_id
             && (w[0].timestamp, w[0].point_id) <= (w[1].timestamp, w[1].point_id)

@@ -1,11 +1,14 @@
 use std::borrow::Cow;
+use std::convert::Infallible;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 use taxitrace_traces::{RawTrip, RoutePoint, TaxiId, TraceColumns, TripId};
 use taxitrace_timebase::Timestamp;
 
+use crate::anomaly::{kept_anomaly, AnomalyConfig, AnomalyKind};
 use crate::filters::{segment_length_m, FilterConfig, FilterStats};
-use crate::order::{in_order_report, repair_order, OrderRepairReport};
+use crate::order::{in_order, repair_out_of_order, OrderRepairReport};
 use crate::segmentation::{
     resplit_columns, segment_columns, SegmentationConfig, SegmentationReport,
 };
@@ -77,51 +80,85 @@ pub struct CleanedSession {
 /// Runs the full §IV-B/C cleaning pipeline on one raw session:
 /// order repair → Table 2 segmentation → rule 5 re-split → filters.
 pub fn clean_session(session: &RawTrip, config: &CleaningConfig) -> CleanedSession {
-    // A session already in order with no re-upload is cleaned straight
-    // from its own points; repair and dedup would return them unchanged.
+    let Ok(cleaned) = clean_with(session, config, |_, _| Ok::<(), Infallible>(()));
+    cleaned
+}
+
+/// [`clean_session`], then the post-cleaning invariant checks of
+/// [`AnomalyConfig`] on the kept segments, in order. The first violation
+/// comes back as its error class and a detail naming the segment; the
+/// session then belongs in quarantine, not in the study. The checks read
+/// the session's columns, so no kept point is measured twice.
+pub fn clean_checked(
+    session: &RawTrip,
+    config: &CleaningConfig,
+    anomaly: &AnomalyConfig,
+) -> Result<CleanedSession, (AnomalyKind, String)> {
+    clean_with(session, config, |cols, kept| {
+        kept_anomaly(cols, kept, anomaly).map_or(Ok(()), Err)
+    })
+}
+
+/// The cleaning pipeline, with `check` run over the session columns and
+/// the kept ranges before any segment is materialised.
+fn clean_with<E>(
+    session: &RawTrip,
+    config: &CleaningConfig,
+    check: impl FnOnce(&TraceColumns, &[Range<usize>]) -> Result<(), E>,
+) -> Result<CleanedSession, E> {
+    // One struct-of-arrays gather per session; order repair's path length,
+    // segmentation, rule 5, the filters and `check` all stream over these
+    // columns instead of the point structs. A session already in order is
+    // cleaned straight from its own points, and its path length is the sum
+    // of the step column.
     let points = &session.points[..];
-    let (ordered, order_report, duplicates_removed) = match in_order_report(points) {
-        Some(report) if !points.windows(2).any(|w| is_reupload(&w[0], &w[1])) => {
-            (Cow::Borrowed(points), report, 0)
-        }
-        _ => {
-            let (mut ordered, report) = repair_order(points);
-            let removed = dedup_points(&mut ordered);
-            (Cow::Owned(ordered), report, removed)
-        }
+    let (mut ordered, mut cols, order_report) = if in_order(points) {
+        let cols = TraceColumns::from_points(points);
+        let report = OrderRepairReport::in_order(cols.step_m.iter().sum());
+        (Cow::Borrowed(points), cols, report)
+    } else {
+        let (ordered, report, cols) = repair_out_of_order(points);
+        (Cow::Owned(ordered), cols, report)
     };
-    // One struct-of-arrays gather per session; segmentation, rule 5 and the
-    // filters all stream over these columns instead of the point structs.
-    let cols = TraceColumns::from_points(&ordered);
-    let (mut ranges, mut seg_report) = segment_columns(&cols, &config.segmentation);
+    let mut duplicates_removed = 0;
+    if let Some(keep) = reuploads(&ordered) {
+        cols.retain_rows(&keep);
+        let mut flags = keep.iter();
+        let kept = ordered.to_mut();
+        kept.retain(|_| flags.next() == Some(&true));
+        duplicates_removed = keep.len() - kept.len();
+    }
+    let (ranges, mut seg_report) = segment_columns(&cols, &config.segmentation);
 
     // Rule 5: "If after the first round, there are still trips longer than
     // 40 km, we try to split these with the rule 1, having 1.5 minutes'
     // interval."
-    let mut resplit: Vec<std::ops::Range<usize>> = Vec::with_capacity(ranges.len());
-    for r in ranges.drain(..) {
+    let mut kept: Vec<Range<usize>> = Vec::with_capacity(ranges.len());
+    for r in ranges {
         if cols.length_m(r.clone()) > config.segmentation.rule5_trigger_m {
-            resplit.extend(resplit_columns(&cols, r, &config.segmentation, &mut seg_report));
+            kept.extend(resplit_columns(&cols, r, &config.segmentation, &mut seg_report));
         } else {
-            resplit.push(r);
+            kept.push(r);
         }
     }
 
     let mut filter_stats = FilterStats::default();
-    let mut segments = Vec::with_capacity(resplit.len());
-    for r in resplit {
-        if config.filters.admit_range(&cols, r.clone(), &mut filter_stats) {
+    kept.retain(|r| config.filters.admit_range(&cols, r.clone(), &mut filter_stats));
+    check(&cols, &kept)?;
+    let segments = kept
+        .into_iter()
+        .map(|r| {
             let pts = &ordered[r];
-            segments.push(TripSegment {
+            TripSegment {
                 trip_id: session.id,
                 taxi: session.taxi,
                 start_time: pts[0].timestamp,
                 points: pts.to_vec(),
-            });
-        }
-    }
+            }
+        })
+        .collect();
 
-    CleanedSession {
+    Ok(CleanedSession {
         trip_id: session.id,
         taxi: session.taxi,
         segments,
@@ -133,17 +170,25 @@ pub fn clean_session(session: &RawTrip, config: &CleaningConfig) -> CleanedSessi
             filters: filter_stats,
         },
         order_report,
-    }
+    })
 }
 
-/// Removes exact duplicate uploads: consecutive points with identical
-/// timestamp and position (the device re-sent a measurement). Returns the
-/// number removed. Part of "filtering the most obvious errors from the
-/// data set".
-fn dedup_points(points: &mut Vec<RoutePoint>) -> usize {
-    let before = points.len();
-    points.dedup_by(|b, a| is_reupload(a, b));
-    before - points.len()
+/// Flags exact duplicate uploads: a point that re-sends the last kept
+/// point's measurement. Returns one keep flag per point, or `None` when
+/// nothing is to be removed. Part of "filtering the most obvious errors
+/// from the data set".
+fn reuploads(points: &[RoutePoint]) -> Option<Vec<bool>> {
+    let first = points.windows(2).position(|w| is_reupload(&w[0], &w[1]))?;
+    let mut keep = vec![true; points.len()];
+    let mut last = first;
+    for (i, flag) in keep.iter_mut().enumerate().skip(first + 1) {
+        if is_reupload(&points[last], &points[i]) {
+            *flag = false;
+        } else {
+            last = i;
+        }
+    }
+    Some(keep)
 }
 
 /// Whether `next` re-sends `prev`'s measurement: same timestamp, position
@@ -240,6 +285,7 @@ pub fn validate_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::repair_order;
     use taxitrace_roadnet::synth::{generate, OuluConfig};
     use taxitrace_traces::{simulate_fleet, FleetConfig};
     use taxitrace_weather::WeatherModel;

@@ -106,7 +106,7 @@ pub fn segment_columns(
         if dt <= 0 {
             continue;
         }
-        let dd = cols.dist(i, i + 1);
+        let dd = cols.step_m[i];
         let speed = dd / dt as f64;
         // Rule 4 first (it is the most specific long-gap rule): very long
         // silence with some movement but under 3 km.
@@ -191,11 +191,11 @@ fn mark_rule1_columns(
     let hi = range.end;
     let mut i = lo;
     while i + 1 < hi {
-        let (ax, ay) = (cols.x[i], cols.y[i]);
         let mut j = i;
-        // `hypot` keeps the radius test bit-identical to the reference
-        // implementation's `Point::distance`.
-        while j + 1 < hi && (cols.x[j + 1] - ax).hypot(cols.y[j + 1] - ay) <= radius {
+        // `dist_from` keeps the radius test bit-identical to the reference
+        // implementation's `Point::distance`; the first probe reads the
+        // step column.
+        while j + 1 < hi && cols.dist_from(i, j + 1) <= radius {
             j += 1;
         }
         if j > i && cols.dt_s(i, j) >= window_s {

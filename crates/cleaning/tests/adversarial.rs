@@ -8,7 +8,8 @@
 
 use proptest::prelude::*;
 use taxitrace_cleaning::{
-    clean_session, session_anomaly, validate_segments, AnomalyConfig, CleaningConfig,
+    clean_checked, clean_session, segment_anomaly, validate_segments, AnomalyConfig,
+    AnomalyKind, CleaningConfig,
 };
 use taxitrace_geo::{GeoPoint, Point};
 use taxitrace_roadnet::NodeId;
@@ -63,6 +64,86 @@ fn session_from(points: Vec<taxitrace_traces::RoutePoint>, n: usize) -> RawTrip 
             elements: Vec::new(),
             od_pair: None,
         }],
+    }
+}
+
+/// Thresholds low enough that ordinary driving trips every check.
+fn hair_trigger() -> AnomalyConfig {
+    AnomalyConfig {
+        max_implied_speed_kmh: 60.0,
+        min_jump_m: 100.0,
+        skew_run: 2,
+        skew_min_travel_m: 1.0,
+        max_gap_s: 20,
+        dropout_min_travel_m: 50.0,
+        stuck_run: 3,
+        stuck_radius_m: 5.0,
+        stuck_min_speed_kmh: 1.0,
+    }
+}
+
+/// Pair checks off, run checks on a hair trigger: reaches the run scans.
+fn runs_only() -> AnomalyConfig {
+    AnomalyConfig {
+        min_jump_m: f64::INFINITY,
+        max_gap_s: i64::MAX,
+        ..hair_trigger()
+    }
+}
+
+/// Every hand-built anomaly case of the detector's unit tests, checked
+/// through the pipeline: the columnar scan names the same class and detail
+/// as the point-slice reference on each kept segment.
+#[test]
+fn columnar_scan_matches_reference_on_planted_faults() {
+    let drive = |n: usize| base_points(n, 10, 36.0);
+    let mut cases: Vec<(Vec<taxitrace_traces::RoutePoint>, AnomalyKind)> = Vec::new();
+    // Teleport 5 km mid-drive.
+    let mut jump = drive(40);
+    for p in &mut jump[20..] {
+        p.pos = Point::new(p.pos.x + 5_000.0, p.pos.y);
+    }
+    cases.push((jump, AnomalyKind::PositionJump));
+    // 80 points flattened onto one timestamp across 8 km.
+    let mut skew = drive(120);
+    for (k, p) in skew[20..100].iter_mut().enumerate() {
+        p.timestamp = Timestamp::from_secs(200);
+        p.pos = Point::new(p.pos.x + k as f64 * 100.0, p.pos.y);
+    }
+    for p in &mut skew[100..] {
+        p.pos = Point::new(p.pos.x + 8_000.0, p.pos.y);
+    }
+    cases.push((skew, AnomalyKind::ClockSkew));
+    // A 1200 s silence across 4 km.
+    let mut dropout = drive(40);
+    for p in &mut dropout[20..] {
+        p.timestamp = Timestamp::from_secs(p.timestamp.secs() + 1_200);
+        p.pos = Point::new(p.pos.x + 4_000.0, p.pos.y);
+    }
+    cases.push((dropout, AnomalyKind::Dropout));
+    // 12 reports frozen in place (110 s, under rule 1's window) at 36 km/h.
+    let mut stuck = drive(40);
+    let frozen = stuck[20].pos;
+    for p in &mut stuck[20..32] {
+        p.pos = frozen;
+    }
+    for p in &mut stuck[32..] {
+        p.pos = Point::new(p.pos.x - 1_100.0, p.pos.y);
+    }
+    cases.push((stuck, AnomalyKind::StuckSensor));
+    for (points, kind) in cases {
+        let n = points.len();
+        let session = session_from(points, n);
+        let cleaned = clean_session(&session, &CleaningConfig::default());
+        let anomaly = AnomalyConfig::default();
+        let reference = cleaned.segments.iter().enumerate().find_map(|(i, segment)| {
+            let (kind, detail) = segment_anomaly(&segment.points, &anomaly)?;
+            Some((kind, format!("segment {i}: {detail}")))
+        });
+        let found = clean_checked(&session, &CleaningConfig::default(), &anomaly)
+            .expect_err("a planted fault is caught");
+        assert_eq!(found.0, kind, "{found:?}");
+        assert_eq!(Some(found), reference);
     }
 }
 
@@ -121,8 +202,23 @@ proptest! {
             }
         }
 
-        // The anomaly scan must always reach a verdict without panicking.
-        let _ = session_anomaly(&cleaned, &AnomalyConfig::default());
+        // The columnar anomaly scan reaches the verdict of the point-slice
+        // reference on the kept segments, under the calibrated thresholds
+        // and under hair-trigger ones that make every check fire.
+        for anomaly in [AnomalyConfig::default(), hair_trigger(), runs_only()] {
+            let reference = cleaned.segments.iter().enumerate().find_map(|(i, segment)| {
+                let (kind, detail) = segment_anomaly(&segment.points, &anomaly)?;
+                Some((kind, format!("segment {i}: {detail}")))
+            });
+            match clean_checked(&session, &CleaningConfig::default(), &anomaly) {
+                Ok(checked) => {
+                    prop_assert_eq!(reference, None);
+                    prop_assert_eq!(&checked.segments, &cleaned.segments);
+                    prop_assert_eq!(checked.stats, cleaned.stats);
+                }
+                Err(found) => prop_assert_eq!(Some(found), reference),
+            }
+        }
 
         let v = validate_segments(&session, &cleaned, 0.7);
         prop_assert_eq!(v.truth_legs, 1);

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use taxitrace_cleaning::{
-    clean_session, session_anomaly, AnomalyKind, CleanedSession, CleaningTotals, TripSegment,
+    clean_checked, AnomalyKind, CleanedSession, CleaningTotals, TripSegment,
 };
 use taxitrace_exec::{ExecMeter, TaskError};
 use taxitrace_matching::{incremental, CandidateIndex, MatchConfig, MatchScratch};
@@ -494,7 +494,7 @@ impl Simulated {
     ///
     /// Every session runs as an isolated, fallible task: a panicking task
     /// or a session whose cleaned output violates the post-cleaning
-    /// invariants ([`session_anomaly`]) lands in the [`Quarantine`] ledger
+    /// invariants ([`clean_checked`]) lands in the [`Quarantine`] ledger
     /// instead of aborting the run — up to the configured error budget.
     /// The ledger carried in from stage 1 (store salvage damage) is kept;
     /// this stage's budget is judged only on its own additions.
@@ -507,8 +507,7 @@ impl Simulated {
                 // lint:allow(panic-free-library): chaos-injected fault, isolated by the executor
                 panic!("{message}");
             }
-            let cleaned = clean_session(session, &config.cleaning);
-            session_anomaly(&cleaned, &config.fault.anomaly).map_or(Ok(cleaned), Err)
+            clean_checked(session, &config.cleaning, &config.fault.anomaly)
         };
         // Budget enforcement happens in the shared tail, against the
         // quarantined fraction.

@@ -32,16 +32,6 @@ impl Span {
         self.items = items;
     }
 
-    /// Adds to the span's item count.
-    pub fn add_items(&mut self, items: u64) {
-        self.items += items;
-    }
-
-    /// Elapsed wall-clock so far, seconds.
-    pub fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Stops the clock and records the measurement.
     pub fn finish(mut self) {
         self.record();

@@ -13,7 +13,7 @@
 //! new one.
 
 use std::fs;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter};
 use std::path::Path;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected — the same parametrisation
@@ -86,11 +86,6 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// Writes `bytes` to `path` atomically; see [`write_atomic_with`].
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    write_atomic_with(path, |out| out.write_all(bytes))
-}
-
 /// Capacity of the buffered writer [`write_atomic_with`] hands out.
 const WRITE_BUF: usize = 64 * 1024;
 
@@ -129,6 +124,7 @@ pub fn write_atomic_with<E: From<io::Error>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn crc32_known_vectors() {
@@ -214,9 +210,12 @@ mod tests {
         let dir = std::env::temp_dir().join("taxitrace-integrity-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("payload.bin");
-        write_atomic(&path, b"first").unwrap();
+        let write = |bytes: &'static [u8]| {
+            write_atomic_with(&path, |out| out.write_all(bytes)).unwrap();
+        };
+        write(b"first");
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        write_atomic(&path, b"second, longer payload").unwrap();
+        write(b"second, longer payload");
         assert_eq!(std::fs::read(&path).unwrap(), b"second, longer payload");
         assert!(!path.with_extension("tmp").exists());
         std::fs::remove_dir_all(&dir).ok();

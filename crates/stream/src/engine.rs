@@ -25,7 +25,7 @@ use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Arc;
 use std::thread;
 
-use taxitrace_cleaning::{clean_session, session_anomaly, CleaningTotals, TripSegment};
+use taxitrace_cleaning::{clean_checked, CleaningTotals, TripSegment};
 use taxitrace_core::{
     check_budget, clean_failure, injected_clean_panic, resolved_fault_policy, transition_anomaly,
     Error, Quarantine, QuarantineEntry, QuarantineReason, Simulated, Study, StudyConfig, TaskError,
@@ -353,12 +353,13 @@ fn clean_one(
     let failure = match injected_clean_panic(config, session.id.0) {
         Some(message) => TaskError::Panicked { message },
         None => {
-            let cleaned = clean_session(session, &config.cleaning);
-            let Some(error) = session_anomaly(&cleaned, &config.fault.anomaly) else {
-                totals.absorb(&cleaned.stats);
-                return SessionProducts { segments: cleaned.segments, quarantine: None };
-            };
-            TaskError::Failed { error, attempts: max_attempts }
+            match clean_checked(session, &config.cleaning, &config.fault.anomaly) {
+                Ok(cleaned) => {
+                    totals.absorb(&cleaned.stats);
+                    return SessionProducts { segments: cleaned.segments, quarantine: None };
+                }
+                Err(error) => TaskError::Failed { error, attempts: max_attempts },
+            }
         }
     };
     SessionProducts { segments: Vec::new(), quarantine: Some(clean_failure(session.id.0, failure)) }

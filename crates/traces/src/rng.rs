@@ -90,11 +90,6 @@ impl Rng {
         r * theta.cos()
     }
 
-    /// Normal deviate with mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
-    }
-
     /// Exponential deviate with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);

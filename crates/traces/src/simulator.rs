@@ -165,11 +165,6 @@ impl FleetData {
     pub fn total_legs(&self) -> usize {
         self.sessions.iter().map(|s| s.truth_trips.len()).sum()
     }
-
-    /// Sessions of one taxi.
-    pub fn of_taxi(&self, taxi: TaxiId) -> impl Iterator<Item = &RawTrip> + '_ {
-        self.sessions.iter().filter(move |s| s.taxi == taxi)
-    }
 }
 
 /// Simulates the whole fleet over the study year.
@@ -993,7 +988,9 @@ impl SessionBuilder {
 
     fn finish(self, corruption: &CorruptionConfig, rng: &mut Rng) -> RawTrip {
         let end_time = self.time;
-        let (points, _) = corrupt_session(corruption, rng, self.points);
+        let (mut points, _) = corrupt_session(corruption, rng, self.points);
+        // The buffer grew by doubling; seal the session at its exact size.
+        points.shrink_to_fit();
         RawTrip {
             id: self.trip_id,
             taxi: self.taxi,

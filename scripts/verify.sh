@@ -300,6 +300,35 @@ rm -rf "$fpdir"
     exit 1
 }
 
+# Quarantine smoke at the full study year, the only scale-1 gate on the
+# post-cleaning anomaly checks: seed 2021 quarantines one session at the
+# clean stage and seed 2027 one transition at the O-D stage, both for
+# clock skew. Their fingerprints and `quarantine.*` counters are pinned.
+qdir=$(mktemp -d)
+quarantine_pin() {
+    local fp
+    fp=$(./target/release/repro --scale 1.0 --seed "$1" --metrics json \
+        --metrics-out "$qdir/$1.json" fingerprint 2>/dev/null \
+        | sed -n 's/^study fingerprint \(0x[0-9a-f]*\)$/\1/p')
+    [ "$fp" = "$2" ] || {
+        echo "verify: seed $1 scale 1.0 fingerprint '$fp' != pinned $2" >&2
+        exit 1
+    }
+    python3 - "$qdir/$1.json" "$3" <<'EOF'
+import json, sys
+
+counters = json.load(open(sys.argv[1]))["counters"]
+got = {k: v for k, v in counters.items() if k.startswith("quarantine.")}
+want = {"quarantine.total": 1, "quarantine.reason.clock_skew": 1,
+        f"quarantine.stage.{sys.argv[2]}": 1}
+assert got == want, f"quarantine counters {got} != pinned {want}"
+EOF
+    echo "quarantine smoke OK: seed $1 fingerprint $fp, one clock_skew record at stage $3"
+}
+quarantine_pin 2021 0xb1aeebbb1be2c056 clean
+quarantine_pin 2027 0x3dfcb7222ee4aa80 od
+rm -rf "$qdir"
+
 # Front-door smoke: a --store replay of an unmodified saved store, a
 # --checkpoint-dir run, and a second run over the same directory (which
 # loads the simulate checkpoint and recomputes every later stage from its

@@ -48,6 +48,18 @@ fn save_load_preserves_everything() {
     }
 }
 
+/// Stage 1 hands over every simulated session at its exact size. A point
+/// buffer grown by doubling holds up to twice its points' memory for the
+/// rest of the run.
+#[test]
+fn simulated_sessions_are_exact_size() {
+    let sim = Study::new(StudyConfig::quick(7)).simulate().expect("simulate");
+    assert!(!sim.store.sessions().is_empty());
+    for s in sim.store.sessions() {
+        assert_eq!(s.points.capacity(), s.points.len(), "session {:?}", s.id);
+    }
+}
+
 /// The store image `StudyConfig::quick(7)` saves, pinned byte for byte:
 /// every raw point and ground-truth leg the simulator produced, and the v3
 /// layout around them (header, offset index, CRC framing). The study
